@@ -11,18 +11,14 @@ against an independent adaptive quadrature of the raw integrand.
 from .evaluator import (
     evaluate,
     evaluate_integral,
-    evaluate_opposite_parity,
-    evaluate_same_parity,
     normalize_signs,
 )
 from .exact import (
     ExactValue,
     Rational,
     is_prime,
-    log_of_integer,
     parse_exact_value,
     prime_factorization,
-    rational_binomial,
 )
 from .identities import SweepRecord, SweepReport, boundary_identity_sum, identity_sweep
 from .oracle import (
@@ -43,6 +39,7 @@ from .trig import (
     derivative_expansion,
     product_expansion,
     sin_power_expand,
+    spectrum,
     trig_product,
 )
 
@@ -68,18 +65,15 @@ __all__ = [
     "derivative_expansion",
     "evaluate",
     "evaluate_integral",
-    "evaluate_opposite_parity",
-    "evaluate_same_parity",
     "identity_sweep",
     "is_prime",
-    "log_of_integer",
     "normalize_signs",
     "parse_exact_value",
     "prime_factorization",
     "product_expansion",
     "quadrature",
-    "rational_binomial",
     "sin_power_expand",
+    "spectrum",
     "to_decimal",
     "trig_product",
     "validate_for_evaluation",

@@ -3,19 +3,22 @@
 Exit codes discriminate failure classes so scripts can branch on them:
 1 usage error, 2 domain error, 3 partial batch failure, 4 selftest failure.
 The default verification tolerance can be set with the SINCINT_TOL
-environment variable; --tol overrides it.
+environment variable; --tol overrides it.  Either value must be a finite
+number no smaller than MIN_TOL, or the command exits 1.  JSON output is
+strict RFC 8259: a decimal outside double range is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .evaluator import evaluate
 from .identities import identity_sweep
-from .oracle import DEFAULT_TOL, to_decimal, verify
+from .oracle import DEFAULT_TOL, MIN_TOL, to_decimal, verify
 from .params import DomainError, IntegralParams
 
 EXIT_OK = 0
@@ -32,14 +35,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("SINCINT_TOL")
-    if raw is None:
+def _tolerance(flag: str | None) -> float:
+    """The tolerance from --tol, else SINCINT_TOL, else DEFAULT_TOL.
+
+    Raises ValueError, naming the source, for a value that is not a finite
+    number of at least MIN_TOL.
+    """
+    source, text = ("--tol", flag) if flag is not None else ("SINCINT_TOL", os.environ.get("SINCINT_TOL"))
+    if text is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(text)
     except ValueError:
-        return DEFAULT_TOL
+        raise ValueError(f"{source} {text!r} is not a number") from None
+    if not math.isfinite(tol):
+        raise ValueError(f"{source} {text!r} is not finite")
+    if tol < MIN_TOL:
+        raise ValueError(f"{source} {text!r} is below the oracle's floor {MIN_TOL}")
+    return tol
+
+
+def _json(record: dict) -> str:
+    """Strict JSON: a float outside double range becomes null."""
+    return json.dumps(
+        {key: None if isinstance(value, float) and not math.isfinite(value) else value
+         for key, value in record.items()},
+        allow_nan=False,
+    )
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check the closed form against quadrature")
     _add_param_flags(p_verify)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", default=None, help=f"absolute tolerance (>= {MIN_TOL})")
     p_verify.add_argument("--format", choices=("plain", "json"), default="json")
 
     p_batch = sub.add_parser("batch", help="evaluate one 'a b c p q' line per input row")
@@ -78,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--grid-max-c", type=int, default=2)
     p_self.add_argument("--grid-max-p", type=int, default=2)
     p_self.add_argument("--grid-max-q", type=int, default=2)
-    p_self.add_argument("--tol", type=float, default=None)
+    p_self.add_argument("--tol", default=None, help=f"absolute tolerance (>= {MIN_TOL})")
     return parser
 
 
@@ -103,14 +125,18 @@ def cmd_eval(args) -> int:
         print(f"domain error: {exc} [{exc.constraint}]", file=sys.stderr)
         return EXIT_DOMAIN
     if args.format == "json":
-        print(json.dumps(record))
+        print(_json(record))
     else:
         print(f"{record['exact']} = {record['decimal']!r}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    try:
+        tol = _tolerance(args.tol)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         params = IntegralParams(args.a, args.b, args.c, args.p, args.q)
         report = verify(params, tol, allow_b1=args.allow_b1)
@@ -147,7 +173,7 @@ def cmd_batch(args) -> int:
         if record.get("status") != "ok":
             any_failed = True
         if args.format == "json":
-            print(json.dumps(record))
+            print(_json(record))
         else:
             if record["status"] == "ok":
                 print(f"{record['a']} {record['b']} {record['c']} {record['p']} {record['q']} "
@@ -177,7 +203,11 @@ def _batch_line(text: str, *, allow_b1: bool) -> dict:
 
 
 def cmd_selftest(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    try:
+        tol = _tolerance(args.tol)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sweep = identity_sweep(args.max_a, args.max_c, args.max_p, args.max_q)
     print(f"identity sweep: {sweep.checked} tuples, {len(sweep.failures)} failures")
     if not sweep.all_zero:

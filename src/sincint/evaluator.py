@@ -3,9 +3,9 @@
 The family splits on the parity of a and b.  Same parity yields a pure
 rational multiple of pi; opposite parity (with a > b) yields a rational
 combination of logarithms of integers, with the divergent parts of the
-derivation cancelled by the boundary identity.  Everything here is computed
-in exact big-integer / rational arithmetic; the prefactor is applied last so
-each braced sum is an exact integer.
+derivation cancelled by the boundary identity.  Both are reductions of one
+integer frequency spectrum, computed in exact big-integer arithmetic; the
+rational prefactor is applied last so each braced sum is an exact integer.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import math
 from fractions import Fraction
 
 from .exact import ExactValue, prime_factorization
-from .params import DomainError, IntegralParams, ParityCase, validate_for_evaluation
+from .params import IntegralParams, ParityCase, validate_for_evaluation
+from .trig import spectrum
 
 __all__ = [
     "evaluate",
     "evaluate_integral",
-    "evaluate_opposite_parity",
-    "evaluate_same_parity",
     "normalize_signs",
 ]
 
@@ -37,139 +36,43 @@ def normalize_signs(params: IntegralParams) -> tuple[int, IntegralParams]:
     return sign, normalized
 
 
-def _require_normalized(params: IntegralParams) -> None:
-    if params.p < 0 or params.q < 0:
-        raise DomainError(
-            "p >= 0 and q >= 0",
-            "case evaluators take sign-normalized parameters (use evaluate or normalize_signs)",
-        )
-
-
-def _alt(i: int) -> int:
-    return -1 if i % 2 else 1
-
-
-def evaluate_same_parity(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
-    """Rational-multiple-of-pi value for a and b of the same parity.
-
-    Zero-frequency terms contribute nothing and are skipped; with b = 1
-    that skip is what keeps 0^0 out of the sum entirely.
-    """
-    _require_normalized(params)
-    validate_for_evaluation(params, allow_b1=allow_b1)
-    if params.parity_case is not ParityCase.SAME:
-        raise DomainError("a = b (mod 2)", "same-parity evaluator called with opposite parity")
-    a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
-    if p == 0:
-        return ExactValue()
-    s, t = params.s, params.t
-    e = b - 1
-    sign_a = _alt(a // 2)
-
-    braced = 0
-    if t == 0:
-        acc = sum(
-            _alt(i) * math.comb(a, i) * ((a - 2 * i) * p) ** e
-            for i in range((a - 1) // 2 + 1)
-            if (a - 2 * i) * p != 0
-        )
-        braced += sign_a * math.comb(c, c // 2) * acc
-    for i in range((a - 1) // 2 + 1):
-        fi = (a - 2 * i) * p
-        base = _alt(i) * math.comb(a, i)
-        for j in range((c - 1) // 2 + 1):
-            gj = (c - 2 * j) * q
-            pair = 0
-            if fi + gj != 0:
-                pair += (fi + gj) ** e
-            diff = fi - gj
-            if diff != 0:
-                pair += (1 if diff > 0 else -1) * diff**e
-            braced += sign_a * base * math.comb(c, j) * pair
-    if s == 0:
-        braced += math.comb(a, a // 2) * sum(
-            math.comb(c, j) * ((c - 2 * j) * q) ** e
-            for j in range((c - 1) // 2 + 1)
-            if (c - 2 * j) * q != 0
-        )
-
-    numerator = _alt(b // 2) * braced
-    return ExactValue(pi_coeff=Fraction(numerator, 2 ** (a + c) * math.factorial(b - 1)))
-
-
-def evaluate_opposite_parity(params: IntegralParams) -> ExactValue:
-    """Logarithm-valued closed form for a > b of opposite parity (b >= 2).
-
-    Each surviving frequency L contributes coeff * L^(b-1) * ln|L|,
-    accumulated over the prime factorization of |L|; L = 0 terms are
-    skipped (their coefficient 0^(b-1) vanishes for b >= 2, which is also
-    what renders the formal ln(0) guards inert).
-    """
-    _require_normalized(params)
-    if params.parity_case is not ParityCase.OPPOSITE:
-        raise DomainError("a != b (mod 2)", "opposite-parity evaluator called with same parity")
-    if params.b < 2:
-        raise DomainError("b >= 2")
-    a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
-    if p == 0:
-        return ExactValue()
-    s, t = params.s, params.t
-    e = b - 1
-    sign_a = _alt(a // 2)
-    prefactor = Fraction(_alt((b + 1) // 2), 2 ** (a + c - 1) * math.factorial(b - 1))
-
-    logs: dict[int, Fraction] = {}
-
-    def absorb(argument: int, weight: int) -> None:
-        # weight * L^(b-1) * ln(argument), argument = |L| >= 1
-        if argument == 1 or weight == 0:
-            return
-        coeff = prefactor * weight
-        for prime, exp in prime_factorization(argument).items():
-            logs[prime] = logs.get(prime, Fraction(0)) + exp * coeff
-
-    if t == 0:
-        cc = math.comb(c, c // 2)
-        for i in range((a - 1) // 2 + 1):
-            freq = (a - 2 * i) * p
-            if freq != 0:
-                absorb(freq, sign_a * _alt(i) * math.comb(a, i) * cc * freq**e)
-    for i in range((a - 1) // 2 + 1):
-        fi = (a - 2 * i) * p
-        base = sign_a * _alt(i) * math.comb(a, i)
-        for j in range((c - 1) // 2 + 1):
-            gj = (c - 2 * j) * q
-            w = base * math.comb(c, j)
-            if fi + gj != 0:
-                absorb(fi + gj, w * (fi + gj) ** e)
-            if fi - gj != 0:
-                absorb(abs(fi - gj), w * (fi - gj) ** e)
-    if s == 0:
-        ca = math.comb(a, a // 2)
-        for j in range((c - 1) // 2 + 1):
-            freq = (c - 2 * j) * q
-            if freq != 0:
-                absorb(freq, ca * math.comb(c, j) * freq**e)
-
-    return ExactValue(log_coeffs=logs)
-
-
 def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     """Exact value of the integral for any representable parameters.
 
-    Sign-normalizes, short-circuits p = 0 to the exact zero, then dispatches
-    on parity.  Same-parity results carry no logarithms and opposite-parity
-    results carry no pi term.
+    Both cases reduce the spectrum {L: w} of sin^a(px) cos^c(qx) (see
+    trig.spectrum).  Same parity gives pi times the sum of
+    w * sgn(L) * L^(b-1), in which sgn(0) = 0 keeps 0^0 out when b = 1.
+    Opposite parity (a > b, so b >= 2) gives the sum of w * L^(b-1) * ln|L|:
+    the weights are summed per |L| first, so each distinct |L| >= 2 is
+    factored once and the rational prefactor is applied once per prime.
+    p = 0 is the exact zero.
     """
     validate_for_evaluation(params, allow_b1=allow_b1)
-    sign, normalized = normalize_signs(params)
-    if normalized.p == 0:
+    sign, norm = normalize_signs(params)
+    a, b, c, p, q = norm.a, norm.b, norm.c, norm.p, norm.q
+    if p == 0:
         return ExactValue()
-    if normalized.parity_case is ParityCase.SAME:
-        value = evaluate_same_parity(normalized, allow_b1=allow_b1)
-    else:
-        value = evaluate_opposite_parity(normalized)
-    return value.scale(sign) if sign < 0 else value
+    weights = spectrum(a, c, p, q)
+    e = b - 1
+    denominator = 2 ** (a + c - 1) * math.factorial(e)
+    if norm.parity_case is ParityCase.SAME:
+        braced = sum(w * L**e if L > 0 else -w * L**e for L, w in weights.items() if L)
+        sign *= -1 if (b // 2) % 2 else 1
+        return ExactValue(pi_coeff=Fraction(sign * braced, 2 * denominator))
+
+    per_magnitude: dict[int, int] = {}
+    for L, w in weights.items():
+        if L:
+            per_magnitude[abs(L)] = per_magnitude.get(abs(L), 0) + w * L**e
+    logs: dict[int, int] = {}
+    for magnitude, total in per_magnitude.items():
+        if magnitude > 1 and total:
+            for prime, exp in prime_factorization(magnitude).items():
+                logs[prime] = logs.get(prime, 0) + exp * total
+    sign *= -1 if ((b + 1) // 2) % 2 else 1
+    return ExactValue(
+        log_coeffs={prime: Fraction(sign * n, denominator) for prime, n in logs.items()}
+    )
 
 
 def evaluate_integral(a: int, b: int, c: int, p: int, q: int, *, allow_b1: bool = False) -> ExactValue:

@@ -14,7 +14,6 @@ equal.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,24 +27,9 @@ __all__ = [
     "ExactValue",
     "Rational",
     "is_prime",
-    "log_of_integer",
     "parse_exact_value",
     "prime_factorization",
-    "rational_binomial",
 ]
-
-
-def rational_binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient n-choose-k as an exact rational.
-
-    k outside [0, n] is allowed and yields 0, which lets sum bounds be
-    written without clamping.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
 
 
 def is_prime(n: int) -> bool:
@@ -166,24 +150,6 @@ def _format_rational(r: Fraction) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
-
-
-def log_of_integer(m: int, coeff: RationalLike) -> ExactValue:
-    """coeff * ln(m) expressed over the prime log basis (m >= 1).
-
-    m = 1 yields the zero value.  m <= 0 is a caller error: zero-frequency
-    terms must be dropped before taking logs.
-    """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"log argument must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError(f"log argument must be >= 1, got {m}")
-    r = Fraction(coeff)
-    if m == 1 or r == 0:
-        return ExactValue()
-    return ExactValue(
-        log_coeffs={prime: e * r for prime, e in prime_factorization(m).items()}
-    )
 
 
 _TERM_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?\*(pi|ln\((\d+)\))$")

@@ -292,8 +292,8 @@ def quadrature(
     and the bound satisfies |true - estimate| <= error_bound <= tol.  Raises
     QuadratureError when the tolerance cannot be certified.
     """
-    if tol < MIN_TOL:
-        raise ValueError(f"tolerance below {MIN_TOL} is not supported by the double-precision oracle")
+    if not tol >= MIN_TOL:  # also rejects NaN
+        raise ValueError(f"tolerance {tol!r} is not a number >= {MIN_TOL}, the double-precision oracle's floor")
     validate_for_evaluation(params, allow_b1=allow_b1)
     sign, norm = normalize_signs(params)
     a, b, c, p, q = norm.a, norm.b, norm.c, norm.p, norm.q
@@ -359,10 +359,10 @@ class VerifyReport:
             "p": self.params.p,
             "q": self.params.q,
             "exact": str(self.exact),
-            "exact_decimal": self.exact_decimal,
-            "oracle": self.oracle_estimate,
-            "error_bound": self.oracle_error_bound,
-            "abs_diff": self.abs_diff,
+            "exact_decimal": _finite_or_none(self.exact_decimal),
+            "oracle": _finite_or_none(self.oracle_estimate),
+            "error_bound": _finite_or_none(self.oracle_error_bound),
+            "abs_diff": _finite_or_none(self.abs_diff),
             "tol": self.tolerance,
             "pass": self.passed,
         }
@@ -371,7 +371,12 @@ class VerifyReport:
         return record
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return json.dumps(self.to_json_dict(), allow_nan=False)
+
+
+def _finite_or_none(x: Optional[float]) -> Optional[float]:
+    """JSON has no Infinity or NaN; a value outside double range is null."""
+    return x if x is None or math.isfinite(x) else None
 
 
 def verify(

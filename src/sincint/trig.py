@@ -3,8 +3,10 @@
 Powers and products of sin(px), cos(qx) expand into sums of const, sin(kx)
 and cos(kx) terms with integer frequencies; this module implements those
 power-reduction expansions, exact product-to-sum multiplication, and exact
-term-wise differentiation, plus a direct closed-form instantiation of the
-n-th derivative of sin^a(px) cos^c(qx).
+term-wise differentiation.  It also holds the one integer frequency spectrum
+of sin^a(px) cos^c(qx) that the closed forms, the boundary identity and the
+direct n-th derivative are all reductions of; the product-to-sum route is
+the independent reference the tests compare that spectrum against.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "trig_product",
     "product_expansion",
     "derivative_expansion",
+    "spectrum",
 ]
 
 
@@ -161,14 +164,6 @@ class TrigPoly:
                 total += w * math.cos(freq * x)
         return total
 
-    def value_at_zero(self) -> Fraction:
-        """Exact value at x = 0: const plus the sum of cosine coefficients."""
-        total = Fraction(0)
-        for (kind, freq), coeff in self._coeffs.items():
-            if kind is not TermKind.SIN:
-                total += coeff
-        return total
-
     def value_at_pi(self) -> Fraction:
         """Exact value at x = pi, using cos(k*pi) = (-1)^k."""
         total = Fraction(0)
@@ -257,57 +252,60 @@ def product_expansion(a: int, c: int, p: int, q: int) -> TrigPoly:
     return trig_product(sin_power_expand(a, p), cos_power_expand(c, q))
 
 
+def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
+    """Integer frequency spectrum of 2^(a+c-1) sin^a(px) cos^c(qx).
+
+    Returns {L: w} with 2^(a+c-1) sin^a(px) cos^c(qx) = sum of w * trig(L x),
+    where trig is cos for even a and sin for odd a.  The frequencies are
+    (a-2i)p +- (c-2j)q, signed, so p and q may have either sign; weights of
+    equal L are summed.  The L = 0 key is kept: for even a and c it holds
+    the product's constant term, and every closed-form consumer reads it
+    through 0^0 = 1 or drops it through sgn(0) = 0.
+    """
+    if a < 1:
+        raise DomainError("a >= 1", f"the spectrum needs a >= 1, got {a}")
+    if c < 0:
+        raise DomainError("c >= 0", f"the spectrum needs c >= 0, got {c}")
+    sign_a = -1 if (a // 2) % 2 else 1
+    sines = [((a - 2 * i) * p, sign_a * (-1 if i % 2 else 1) * math.comb(a, i))
+             for i in range((a + 1) // 2)]
+    cosines = [((c - 2 * j) * q, math.comb(c, j)) for j in range((c + 1) // 2)]
+    weights: dict[int, int] = {}
+    if c % 2 == 0:  # sine terms times the constant of cos^c
+        middle = math.comb(c, c // 2)
+        for f, u in sines:
+            weights[f] = weights.get(f, 0) + u * middle
+    if a % 2 == 0:  # the constant of sin^a times the cosine terms
+        middle = math.comb(a, a // 2)
+        for g, v in cosines:
+            weights[g] = weights.get(g, 0) + middle * v
+        if c % 2 == 0:  # C(a, a/2) is even for a >= 2
+            weights[0] = weights.get(0, 0) + middle * math.comb(c, c // 2) // 2
+    for f, u in sines:
+        for g, v in cosines:
+            w = u * v
+            weights[f + g] = weights.get(f + g, 0) + w
+            weights[f - g] = weights.get(f - g, 0) + w
+    return weights
+
+
 def derivative_expansion(a: int, c: int, p: int, q: int, h: int) -> TrigPoly:
     """h-th derivative of sin^a(px) cos^c(qx), instantiated in closed form.
 
     When a and h have opposite parity the result is a pure sine polynomial;
-    with same parity it is constant plus cosines.  The closed form's sums
-    omit the product's global constant, which only matters at h = 0 (it
-    differentiates away for h >= 1); that constant is restored explicitly so
-    the h = 0 result equals the plain product expansion.  Term-wise
+    with same parity it is constant plus cosines.  Each spectrum term
+    w * trig(L x) differentiates to w * L^h times a sine or cosine, and the
+    constant term sits at L = 0, where 0^h keeps it at h = 0 only.  Term-wise
     differentiation of the product expansion must agree with this function
     at every h, which the test suite checks coefficient-exactly.
     """
-    if a < 1:
-        raise DomainError("a >= 1", f"derivative expansion needs a >= 1, got {a}")
-    if c < 0:
-        raise DomainError("c >= 0")
     if p < 0 or q < 0:
         raise DomainError("p >= 0 and q >= 0")
     if h < 0:
         raise DomainError("h >= 0")
-    s, t = a % 2, c % 2
-    same_parity = (h % 2) == s
+    weights = spectrum(a, c, p, q)
+    same_parity = (h % 2) == a % 2
     half_exp = h // 2 if same_parity else (h + 1) // 2
     prefactor = Fraction(-1 if half_exp % 2 else 1, 2 ** (a + c - 1))
     kind = TermKind.COS if same_parity else TermKind.SIN
-    sign_a = -1 if (a // 2) % 2 else 1
-
-    items: list[tuple[TermKind, int, Fraction]] = []
-    if t == 0:
-        cc = math.comb(c, c // 2)
-        for i in range((a - 1) // 2 + 1):
-            freq = (a - 2 * i) * p
-            alt = -1 if i % 2 else 1
-            items.append((kind, freq, prefactor * (sign_a * alt * math.comb(a, i) * cc * freq**h)))
-    for i in range((a - 1) // 2 + 1):
-        fi = (a - 2 * i) * p
-        alt = -1 if i % 2 else 1
-        base = sign_a * alt * math.comb(a, i)
-        for j in range((c - 1) // 2 + 1):
-            gj = (c - 2 * j) * q
-            w = base * math.comb(c, j)
-            items.append((kind, fi + gj, prefactor * (w * (fi + gj) ** h)))
-            items.append((kind, fi - gj, prefactor * (w * (fi - gj) ** h)))
-    if s == 0:
-        ca = math.comb(a, a // 2)
-        for i in range((c - 1) // 2 + 1):
-            freq = (c - 2 * i) * q
-            items.append((kind, freq, prefactor * (ca * math.comb(c, i) * freq**h)))
-    if h == 0 and s == 0 and t == 0:
-        # Global constant of the product; absent from the sums above.
-        items.append(
-            (TermKind.CONST, 0,
-             Fraction(math.comb(a, a // 2) * math.comb(c, c // 2), 2 ** (a + c)))
-        )
-    return TrigPoly(items)
+    return TrigPoly((kind, freq, prefactor * (w * freq**h)) for freq, w in weights.items())

@@ -1,6 +1,7 @@
 """CLI tests: output formats, exit codes, batch behavior, selftest."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -16,6 +17,17 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses the non-RFC 8259 constants Infinity and NaN."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+# |I(300, 300, 0, 1000, 0)| is far above the largest double.
+OVERFLOW_ARGS = ["-a", "300", "-b", "300", "-c", "0", "-p", "1000", "-q", "0"]
 
 
 def test_eval_plain_pi_anchor(capsys):
@@ -101,6 +113,76 @@ def test_verify_tolerance_from_environment(capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], capsys)
     assert code == 0
     assert json.loads(out)["tol"] == 1e-7
+
+
+@pytest.mark.parametrize("command", ["verify", "selftest"])
+@pytest.mark.parametrize("tol", ["1e-10", "nan", "inf", "-1", "abc"])
+def test_invalid_tol_flag_is_a_usage_error(command, tol, capsys):
+    argv = [command, "--tol", tol]
+    if command == "verify":
+        argv += ["-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"]
+    else:
+        argv += ["--max-a", "2", "--max-c", "0", "--max-p", "1", "--max-q", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "--tol" in err and tol in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", "1e-12", ""])
+def test_invalid_tolerance_environment_is_a_usage_error(raw, capsys, monkeypatch):
+    monkeypatch.setenv("SINCINT_TOL", raw)
+    code, out, err = run_cli(["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "SINCINT_TOL" in err
+
+
+def test_tol_flag_overrides_environment(capsys, monkeypatch):
+    monkeypatch.setenv("SINCINT_TOL", "abc")
+    code, out, _ = run_cli(
+        ["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0", "--tol", "1e-6"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e-6
+
+
+def test_eval_json_out_of_double_range_is_null(capsys):
+    code, out, _ = run_cli(["eval", *OVERFLOW_ARGS, "--format", "json"], capsys)
+    assert code == 0
+    record = strict_json(out)
+    assert record["decimal"] is None
+    assert parse_exact_value(record["exact"]) == evaluate(IntegralParams(300, 300, 0, 1000, 0))
+
+
+def test_batch_json_out_of_double_range_is_null(tmp_path, capsys):
+    path = tmp_path / "cases.txt"
+    path.write_text("300 300 0 1000 0\n2 2 0 1 0\n")
+    code, out, _ = run_cli(["batch", str(path)], capsys)
+    assert code == 0
+    first, second = (strict_json(line) for line in out.splitlines())
+    assert first["status"] == "ok" and first["decimal"] is None
+    assert second["decimal"] == 1.5707963267948966
+
+
+def test_verify_report_json_out_of_double_range_is_null():
+    report = VerifyReport(
+        params=IntegralParams(300, 300, 0, 1000, 0),
+        exact=ExactValue.pi_multiple(10**400),
+        exact_decimal=math.inf,
+        oracle_estimate=None,
+        oracle_error_bound=None,
+        abs_diff=math.inf,
+        tolerance=1e-6,
+        passed=False,
+        reason="oracle skipped",
+    )
+    record = strict_json(report.to_json())
+    assert record["exact_decimal"] is None
+    assert record["abs_diff"] is None
+    assert record["pass"] is False
 
 
 def test_batch_anchors_in_order(tmp_path, capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sincint import (
@@ -11,9 +11,8 @@ from sincint import (
     ExactValue,
     IntegralParams,
     ParityCase,
+    evaluate,
     evaluate_integral,
-    evaluate_opposite_parity,
-    evaluate_same_parity,
     normalize_signs,
     quadrature,
     to_decimal,
@@ -163,22 +162,24 @@ def test_b_one_extension_values():
     assert evaluate_integral(5, 1, 0, 1, 0, allow_b1=True) == ExactValue.pi_multiple(Fraction(3, 16))
 
 
-def test_case_evaluators_require_normalized_frequencies():
-    with pytest.raises(DomainError):
-        evaluate_same_parity(IntegralParams(2, 2, 0, -1, 0))
-    with pytest.raises(DomainError):
-        evaluate_opposite_parity(IntegralParams(3, 2, 0, 1, -2))
+def test_evaluate_normalizes_frequency_signs():
+    # evaluate accepts either sign of p and q: q enters only through |q|,
+    # p through the factor sign(p)^a.
+    assert evaluate(IntegralParams(2, 2, 0, -1, 0)) == evaluate(IntegralParams(2, 2, 0, 1, 0))
+    assert evaluate(IntegralParams(3, 2, 0, 1, -2)) == evaluate(IntegralParams(3, 2, 0, 1, 2))
 
 
 def test_case_evaluators_enforce_parity():
-    with pytest.raises(DomainError):
-        evaluate_same_parity(IntegralParams(3, 2, 0, 1, 0))
-    with pytest.raises(DomainError):
-        evaluate_opposite_parity(IntegralParams(2, 2, 0, 1, 0))
+    # Same parity yields only pi, opposite parity only logarithms.
+    same = evaluate(IntegralParams(2, 2, 0, 1, 0))
+    assert same.log_coeffs == {} and same.pi_coeff != 0
+    opposite = evaluate(IntegralParams(3, 2, 0, 1, 0))
+    assert opposite.pi_coeff == 0 and opposite.log_coeffs != {}
 
 
 def test_case_evaluator_shortcircuits_zero_p():
-    assert evaluate_same_parity(IntegralParams(2, 2, 0, 0, 0)).is_zero
+    assert evaluate(IntegralParams(2, 2, 0, 0, 0)).is_zero
+    assert evaluate(IntegralParams(3, 2, 1, 0, 2)).is_zero
 
 
 def test_parity_classification():
@@ -196,3 +197,46 @@ def test_desk_scale_powers_stay_exact():
     assert scaled == base.scale(Fraction(9) ** 18)
     assert scaled.pi_coeff == 0
     assert any(coeff.numerator > 10**18 for coeff in scaled.log_coeffs.values())
+
+
+# ---------------------------------------------------------------------------
+# exact metamorphic relations: integrand identities, not the closed form
+
+
+def exact(a, b, c, p, q):
+    return evaluate(IntegralParams(a, b, c, p, q))
+
+
+_a_and_b = st.integers(min_value=2, max_value=10).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(min_value=2, max_value=a))
+)
+
+
+@settings(max_examples=300)
+@given(_a_and_b, st.integers(min_value=-6, max_value=6))
+def test_double_angle_relation(ab, p):
+    # sin^a(px) cos^a(px) = 2^-a sin^a(2px)
+    a, b = ab
+    assert exact(a, b, a, p, p) == exact(a, b, 0, 2 * p, 0).scale(Fraction(1, 2**a))
+
+
+@settings(max_examples=300)
+@given(_a_and_b, st.integers(min_value=2, max_value=7), st.integers(min_value=-6, max_value=6))
+def test_pythagorean_relation(ab, c, p):
+    # cos^c(px) = cos^(c-2)(px) (1 - sin^2(px))
+    a, b = ab
+    assert exact(a, b, c, p, p) == exact(a, b, c - 2, p, p) - exact(a + 2, b, c - 2, p, p)
+
+
+@settings(max_examples=300)
+@given(
+    _a_and_b,
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-4, max_value=4).filter(bool),
+    st.integers(min_value=2, max_value=6),
+)
+def test_gcd_scaling_law_with_cosine_factor(ab, c, p, q, g):
+    # u = g x: I(a,b,c,gp,gq) = g^(b-1) I(a,b,c,p,q); criterion 4 covers c = 0 only.
+    a, b = ab
+    assert exact(a, b, c, g * p, g * q) == exact(a, b, c, p, q).scale(Fraction(g) ** (b - 1))

@@ -1,5 +1,6 @@
-"""Exact-core tests: binomials, factorization, and canonical value algebra."""
+"""Exact-core tests: binomial weights, factorization, and canonical value algebra."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from sincint import (
     ExactValue,
+    evaluate_integral,
     is_prime,
-    log_of_integer,
     parse_exact_value,
     prime_factorization,
-    rational_binomial,
+    spectrum,
 )
 
 # ---------------------------------------------------------------------------
@@ -45,41 +46,43 @@ _exact_values = st.builds(
 
 
 # ---------------------------------------------------------------------------
-# rational_binomial
+# binomial weights of the frequency spectrum
 
 
 def test_binomial_standard_example():
-    assert rational_binomial(4, 2) == Fraction(6)
+    # 2^3 sin^4(x) = 3 - 4 cos(2x) + cos(4x); the constant is C(4, 2) / 2.
+    assert spectrum(4, 0, 1, 0) == {4: 1, 2: -4, 0: 3}
 
 
 def test_binomial_out_of_range_is_zero():
-    assert rational_binomial(5, 7) == 0
-    assert rational_binomial(5, -1) == 0
+    # Only frequencies inside the band |L| <= a|p| + c|q| with the parity
+    # of ap + cq carry weight; the sums need no clamped binomials.
+    for a, c, p, q in [(5, 3, 2, 1), (4, 2, 3, -2), (6, 0, -1, 4), (3, 4, 0, 3)]:
+        band = a * abs(p) + c * abs(q)
+        for frequency in spectrum(a, c, p, q):
+            assert abs(frequency) <= band
+            assert (frequency - a * p - c * q) % 2 == 0
 
 
 def test_binomial_large_value_against_pascal_oracle():
     expected = pascal_binomial(40, 20)
     assert expected == 137846528820
-    assert rational_binomial(40, 20) == expected
+    weights = spectrum(40, 0, 1, 0)
+    assert weights.pop(0) == expected // 2
+    assert weights == {40 - 2 * i: (-1) ** i * pascal_binomial(40, i) for i in range(20)}
 
 
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
-        rational_binomial(-1, 0)
-
-
-def test_binomial_satisfies_pascal_recurrence_up_to_60():
-    for n in range(1, 61):
-        for k in range(0, n + 1):
-            assert rational_binomial(n, k) == (
-                rational_binomial(n - 1, k - 1) + rational_binomial(n - 1, k)
-            )
+        spectrum(3, -1, 1, 1)
+    with pytest.raises(ValueError):
+        spectrum(0, 2, 1, 1)
 
 
 def test_binomial_is_exact_rational_type():
-    value = rational_binomial(40, 20)
-    assert isinstance(value, Fraction)
-    assert value.denominator == 1
+    weights = spectrum(60, 6, 3, 2)
+    assert all(type(w) is int for w in weights.values())
+    assert max(abs(w) for w in weights.values()) > 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -108,36 +111,36 @@ def test_is_prime_matches_brute_force(n):
 
 
 def test_log_of_one_is_zero():
-    assert log_of_integer(1, Fraction(5, 2)) == ExactValue.zero()
+    # ln(1) has no prime terms.
+    assert prime_factorization(1) == {}
 
 
 def test_log_of_twelve():
-    assert log_of_integer(12, 1) == ExactValue(log_coeffs={2: Fraction(2), 3: Fraction(1)})
+    # ln(12) = 2 ln(2) + ln(3)
+    assert prime_factorization(12) == {2: 2, 3: 1}
 
 
 def test_log_of_nine_with_rational_weight():
-    # trial-division oracle: 9 = 3^2, so the ln(3) weight is 2 * 3/4
-    factors = prime_factorization(9)
-    assert factors == {3: 2}
-    expected = ExactValue(log_coeffs={3: factors[3] * Fraction(3, 4)})
-    assert log_of_integer(9, Fraction(3, 4)) == expected
-    assert expected.log_coeffs[3] == Fraction(3, 2)
+    # sin^3(3x) has frequencies 3 and 9; ln(9) = 2 ln(3), so
+    # I(3,2,0,3,0) = 3 * I(3,2,0,1,0) = 3 * 3/4 ln(3).
+    assert prime_factorization(9) == {3: 2}
+    assert evaluate_integral(3, 2, 0, 3, 0) == ExactValue(log_coeffs={3: Fraction(9, 4)})
 
 
 def test_log_rejects_nonpositive_argument():
-    with pytest.raises(ValueError):
-        log_of_integer(0, 1)
-    with pytest.raises(ValueError):
-        log_of_integer(-5, 1)
+    for m in (0, -5):
+        with pytest.raises(ValueError):
+            prime_factorization(m)
+        with pytest.raises(ValueError):
+            ExactValue(log_coeffs={m: Fraction(1)})
 
 
-@given(
-    st.integers(min_value=1, max_value=400),
-    st.integers(min_value=1, max_value=400),
-    _rationals,
-)
-def test_log_homomorphism(m, n, coeff):
-    assert log_of_integer(m * n, coeff) == log_of_integer(m, coeff) + log_of_integer(n, coeff)
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))
+def test_log_homomorphism(m, n):
+    # ln(mn) = ln(m) + ln(n): exponents add prime by prime.
+    assert Counter(prime_factorization(m * n)) == (
+        Counter(prime_factorization(m)) + Counter(prime_factorization(n))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from sincint import (
     boundary_identity_sum,
     derivative_expansion,
     identity_sweep,
+    spectrum,
 )
 
 
@@ -55,16 +56,21 @@ def test_sweep_small_bounds_all_pass():
     assert report.all_zero
 
 
+def swept_tuples(report):
+    records = [json.loads(line) for line in report.to_json_lines().splitlines()]
+    return {(r["a"], r["c"], r["p"], r["q"], r["h"]) for r in records}
+
+
 def test_sweep_enumeration_contract():
     report = identity_sweep(2, 0, 1, 0)
-    tuples = {(r.a, r.c, r.p, r.q, r.h) for r in report.records}
-    assert tuples == {(2, 0, 0, 0, 0), (2, 0, 1, 0, 0)}
+    assert swept_tuples(report) == {(2, 0, 0, 0, 0), (2, 0, 1, 0, 0)}
+    assert report.checked == 2
     assert report.all_zero
 
 
 def test_sweep_covers_all_four_parity_cases():
     report = identity_sweep(5, 1, 1, 1)
-    combos = {(r.a % 2, r.c % 2) for r in report.records}
+    combos = {(a % 2, c % 2) for a, c, _, _, _ in swept_tuples(report)}
     assert combos == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -84,13 +90,17 @@ def test_sweep_json_lines_schema():
 
 
 def test_consistency_with_derivative_expansion_at_pi():
-    # The same vanishing statement proved by the expansion route.
+    # The same vanishing statement proved by the expansion route, in all
+    # four parity cases of (a, c).
     cases = [
         (2, 0, 1, 0, 0),
         (4, 2, 3, 1, 2),
         (6, 3, 2, 5, 4),
         (7, 4, 1, 2, 5),
         (9, 1, 3, 3, 7),
+        (4, 3, 2, 3, 2), (6, 1, 3, 5, 0), (4, 5, 1, 1, 2),
+        (5, 2, 3, 2, 3), (3, 0, 1, 0, 1), (7, 4, 2, 3, 5),
+        (5, 3, 2, 3, 3), (3, 1, 1, 1, 1), (7, 5, 3, 2, 5),
     ]
     for a, c, p, q, h in cases:
         assert boundary_identity_sum(a, c, p, q, h) == 0
@@ -98,18 +108,23 @@ def test_consistency_with_derivative_expansion_at_pi():
 
 
 def test_sign_factor_invariance_in_declared_cases():
-    # a even, c odd: independent of the (-1)^(c q) factor.
-    for a, c, p, q, h in [(4, 3, 2, 3, 2), (6, 1, 3, 5, 0), (4, 5, 1, 1, 2)]:
+    # Every spectrum frequency L = (a-2i)p +- (c-2j)q has the parity of
+    # a p + c q, so (-1)^L is the product (-1)^(a p) (-1)^(c q) on every
+    # term.  Flipping either sign factor therefore turns the boundary sum
+    # into +-sum w L^h (the h-th derivative at 0), which must vanish too.
+    cases = [
+        # a even, c odd: independent of the (-1)^(c q) factor.
+        (4, 3, 2, 3, 2), (6, 1, 3, 5, 0), (4, 5, 1, 1, 2),
+        # a odd, c even: independent of the (-1)^(a p) factor.
+        (5, 2, 3, 2, 3), (3, 0, 1, 0, 1), (7, 4, 2, 3, 5),
+        # a odd, c odd: independent of both factors jointly.
+        (5, 3, 2, 3, 3), (3, 1, 1, 1, 1), (7, 5, 3, 2, 5),
+    ]
+    for a, c, p, q, h in cases:
+        weights = spectrum(a, c, p, q)
+        assert all((L - a * p - c * q) % 2 == 0 for L in weights)
         assert boundary_identity_sum(a, c, p, q, h) == 0
-        assert boundary_identity_sum(a, c, p, q, h, flip_cq_sign=True) == 0
-    # a odd, c even: independent of the (-1)^(a p) factor.
-    for a, c, p, q, h in [(5, 2, 3, 2, 3), (3, 0, 1, 0, 1), (7, 4, 2, 3, 5)]:
-        assert boundary_identity_sum(a, c, p, q, h) == 0
-        assert boundary_identity_sum(a, c, p, q, h, flip_ap_sign=True) == 0
-    # a odd, c odd: independent of both factors jointly.
-    for a, c, p, q, h in [(5, 3, 2, 3, 3), (3, 1, 1, 1, 1), (7, 5, 3, 2, 5)]:
-        assert boundary_identity_sum(a, c, p, q, h) == 0
-        assert boundary_identity_sum(a, c, p, q, h, flip_ap_sign=True, flip_cq_sign=True) == 0
+        assert sum(w * L**h for L, w in weights.items()) == 0
 
 
 def test_degenerate_frequencies_included():

@@ -69,8 +69,9 @@ def test_quadrature_signed_estimate():
 
 
 def test_quadrature_rejects_tolerance_below_floor():
-    with pytest.raises(ValueError):
-        quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-9)
+    for tol in (1e-9, math.nan):
+        with pytest.raises(ValueError):
+            quadrature(IntegralParams(2, 2, 0, 1, 0), tol)
 
 
 def test_quadrature_fails_loudly_on_tiny_budget():

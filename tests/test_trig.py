@@ -16,6 +16,7 @@ from sincint import (
     derivative_expansion,
     product_expansion,
     sin_power_expand,
+    spectrum,
     trig_product,
 )
 
@@ -210,11 +211,25 @@ def test_successive_orders_are_termwise_derivatives():
 
 def test_value_at_zero_reproduces_integrand_at_origin():
     # sin^a(0) cos^c(0) is 0 for a >= 1; the pure cosine expansion gives 1.
+    # The coefficients are dyadic, so the double sums are exact.
     for a in range(1, 9):
-        assert sin_power_expand(a, 2).value_at_zero() == 0
-        assert product_expansion(a, 3, 2, 1).value_at_zero() == 0
+        assert sin_power_expand(a, 2).evaluate(0.0) == 0.0
+        assert product_expansion(a, 3, 2, 1).evaluate(0.0) == 0.0
     for c in range(0, 9):
-        assert cos_power_expand(c, 3).value_at_zero() == 1
+        assert cos_power_expand(c, 3).evaluate(0.0) == 1.0
+
+
+def test_spectrum_matches_product_expansion():
+    # The product-to-sum route is the independent reference for the one
+    # spectrum every closed form reduces; this box reaches past criterion 6.
+    for a in range(1, 15):
+        kind = TermKind.COS if a % 2 == 0 else TermKind.SIN
+        for c in range(0, 7):
+            for p in range(0, 7):
+                for q in range(0, 7):
+                    from_spectrum = TrigPoly((kind, L, w) for L, w in spectrum(a, c, p, q).items())
+                    reference = product_expansion(a, c, p, q).scale(2 ** (a + c - 1))
+                    assert from_spectrum == reference, (a, c, p, q)
 
 
 def test_value_at_pi_matches_float_evaluation():
