@@ -1,7 +1,9 @@
 """Command-line interface: eval, verify, batch and selftest subcommands.
 
 Exit codes discriminate failure classes so scripts can branch on them:
-1 usage error, 2 domain error, 3 partial batch failure, 4 selftest failure.
+1 usage error, 2 domain error, 3 partial batch failure, 4 selftest failure or
+a verify disagreement, 5 a verify the oracle could not certify (the report
+carries a reason; this says nothing against the closed form).
 The default verification tolerance can be set with the SINCINT_TOL
 environment variable; --tol overrides it.  Either value must be a finite
 number no smaller than MIN_TOL, or the command exits 1.  JSON output is
@@ -26,6 +28,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_BATCH = 3
 EXIT_SELFTEST = 4
+EXIT_UNVERIFIABLE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +149,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(report.to_json())
     else:
-        verdict = "PASS" if report.passed else "FAIL"
+        verdict = "PASS" if report.passed else "UNVERIFIABLE" if report.reason else "FAIL"
         line = (
             f"{report.exact} = {report.exact_decimal!r} vs oracle {report.oracle_estimate!r} "
             f"(diff {report.abs_diff!r}, tol {report.tolerance!r}): {verdict}"
@@ -154,7 +157,9 @@ def cmd_verify(args) -> int:
         if report.reason:
             line += f" ({report.reason})"
         print(line)
-    return EXIT_OK if report.passed else EXIT_SELFTEST
+    if report.passed:
+        return EXIT_OK
+    return EXIT_UNVERIFIABLE if report.reason is not None else EXIT_SELFTEST
 
 
 def cmd_batch(args) -> int:
@@ -225,7 +230,8 @@ def cmd_selftest(args) -> int:
                         checked += 1
                         if not report.passed:
                             print(f"oracle grid: {checked} cases checked before failure")
-                            print(f"FIRST FAILURE: {report.to_json()}")
+                            kind = "unverifiable" if report.reason is not None else "disagreement"
+                            print(f"FIRST FAILURE ({kind}): {report.to_json()}")
                             return EXIT_SELFTEST
     print(f"oracle grid: {checked} cases, 0 failures")
     return EXIT_OK

@@ -2,24 +2,24 @@
 
 Two pieces: rendering an ExactValue to a double via high-precision constants,
 and estimating the integral directly from the raw integrand.  The quadrature
-never touches the closed forms or the trigonometric expansions.  It splits
-the half line at a whole number of periods X = N * 2pi:
+never touches the closed forms or the trigonometric expansions.  With
+g = gcd(p, q) (g = p when c = 0), u = g*x gives I(a, b, c, g*p', g*q') =
+g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
 
 * head [0, X]: adaptive Gauss-Kronrod 15(7) panels no wider than a quarter
-  oscillation, with the removable point x = 0 handled by the analytic limit
-  (p^b when a = b, else 0);
-* tail [X, inf): the integrand is a 2pi-periodic function over x^b, so
-  repeated integration by parts against iterated antiderivatives of the
-  periodic part (computed numerically on one period) gives
+  oscillation, whose nodes never touch the removable point x = 0;
+* tail [X, inf): one FFT of raw samples of the periodic part
+  sin^a(px) cos^c(qx), a trigonometric polynomial, gives its Fourier
+  coefficients, and from them in closed form the means mu_k of its iterated
+  antiderivatives and a bound on the last one.  Integration by parts gives
       integral = mu_1 * X^(1-b)/(b-1) + mu_2 * X^-b + b*mu_3*X^(-b-1) + ...
-  with a remainder bounded by the last antiderivative's maximum.  Each level
-  gains a factor ~1/X, so X stays below ~100 periods even at b = 2 where the
-  naive absolute tail bound would demand X ~ 10^6.  For b = 1 (odd a) the
-  periodic mean mu_1 vanishes identically and the same telescope applies.
+  with a remainder that falls like X^-(b+3).  For b = 1 (odd a) mu_1 = 0.
 
-Every returned error bound covers panel estimates, the tail remainder and
-the dense-grid discretization slop; if the bound cannot be brought under the
-requested tolerance the call fails loudly instead of returning a bad number.
+The error bound covers the panel estimates, the rounding across panels, the
+tail remainder and the rounding of the Fourier coefficients and the rescaling.
+A request that cannot be certified fails loudly, early where that is certain:
+when one period exceeds the node budget (before any FFT), or once the panels'
+rounding alone exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ WORKING_DIGITS = 50
 
 _PERIOD = 2.0 * math.pi
 _LEVELS = 4  # antiderivative depth of the tail telescope
-_MAX_PERIOD_DOUBLINGS = 14
-_MAX_GRID = 1 << 18
+_MAX_PERIODS = 1 << 14
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -132,27 +132,37 @@ def _integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     x0: float,
     x1: float,
-    max_width: float,
-    budget: float,
+    panels: int,
+    tol: float,
     max_nodes: int,
 ) -> tuple[float, float]:
-    """Adaptive panel integration of f over [x0, x1] to an absolute budget."""
-    n0 = max(1, math.ceil((x1 - x0) / max_width))
-    if 15 * n0 > max_nodes:
+    """Adaptive panel integration of f over [x0, x1], starting from equal panels.
+
+    Panels are split until their Kronrod error estimates sum to at most
+    tol / 2; the returned bound adds the rounding accumulated across panels,
+    64 eps sum |values|.  Splitting panels lowers sum |values| by at most
+    about their errors, so once the rounding of sum |values| - sum errors
+    exceeds tol no refinement can bring the bound under tol: the call fails.
+    """
+    if 15 * panels > max_nodes:
         raise QuadratureError(
-            f"initial panelization needs {15 * n0} evaluations, budget is {max_nodes}"
+            f"initial panelization needs {15 * panels} evaluations, budget is {max_nodes}"
         )
-    edges = np.linspace(x0, x1, n0 + 1)
+    edges = np.linspace(x0, x1, panels + 1)
     lows, highs = edges[:-1], edges[1:]
     vals, errs = _batch_gk(f, lows, highs)
-    nodes_used = 15 * n0
+    nodes_used = 15 * panels
+    budget = tol / 2.0
     for _ in range(48):
+        magnitude = float(np.abs(vals).sum())
         total_err = float(errs.sum())
+        if not math.isfinite(total_err):
+            raise QuadratureError("the integrand overflows double range")
+        if 64.0 * _EPS * (magnitude - total_err) > tol:
+            raise QuadratureError(f"the tolerance needs relative precision {tol / magnitude:.1e}, "
+                                  f"below the rounding floor {64.0 * _EPS:.1e}")
         if total_err <= budget:
-            # Account for rounding accumulation across panels; for large
-            # integrals it can exceed the Kronrod truncation estimates.
-            rounding = float(64.0 * np.finfo(float).eps * np.abs(vals).sum())
-            return float(vals.sum()), total_err + rounding
+            return float(vals.sum()), total_err + 64.0 * _EPS * magnitude
         # If every panel met its share the total would meet the budget, so
         # the mask below is never empty.
         mask = errs > budget / len(lows)
@@ -175,90 +185,56 @@ def _integrate_adaptive(
 
 
 def _make_integrand(a: int, b: int, c: int, p: int, q: int):
-    """Raw integrand with the x = 0 limit built in, safe near zero.
+    """Raw integrand as (sin(px)/x)^b * sin(px)^(a-b) * cos(qx)^c.
 
-    (sin(px)/x)^b * sin(px)^(a-b) * cos(qx)^c keeps every factor bounded, so
-    no underflow occurs for small x; the limit at 0 is p^b when a = b (the
-    sinc factor tends to p) and 0 otherwise.
+    Every factor stays bounded, so nothing underflows for small x.  Gauss-
+    Kronrod nodes lie inside their panels, so x = 0 is never sampled.
     """
-    limit0 = float(p**b) if a == b else 0.0
 
     def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, limit0)
-        nz = x != 0.0
-        xs = x[nz]
-        sp = np.sin(p * xs)
-        vals = (sp / xs) ** b
+        sp = np.sin(p * x)
+        vals = (sp / x) ** b
         if a > b:
             vals = vals * sp ** (a - b)
-        if c:
-            vals = vals * np.cos(q * xs) ** c
-        out[nz] = vals
-        return out
-
-    return f
-
-
-def _make_periodic_part(a: int, c: int, p: int, q: int):
-    def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        vals = np.sin(p * x) ** a
         if c:
             vals = vals * np.cos(q * x) ** c
         return vals
 
-    return g
+    return f
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of uniformly sampled y (even interval count)."""
-    n = len(y) - 1
-    inc = (h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    s_even = np.concatenate([[0.0], np.cumsum(inc)])
-    s_odd = s_even[:-1] + (h / 12.0) * (5.0 * y[0:-2:2] + 8.0 * y[1:-1:2] - y[2::2])
-    out = np.empty(n + 1)
-    out[0::2] = s_even
-    out[1::2] = s_odd
-    return out
+def _period_profile(a: int, c: int, p: int, q: int):
+    """Means of the iterated antiderivatives of g = sin^a(px) cos^c(qx) over a period.
 
+    g has degree a*p + c*q < m/2, and the trapezoid rule on m points is exact
+    for g(x)e^(-ikx) with |k| < m/2, so rfft(samples)/m gives the Fourier
+    coefficients c_k of g up to rounding.  With G_0 = g, mu_j the mean of
+    G_(j-1) and G_j the antiderivative of G_(j-1) - mu_j vanishing at 0:
+        mu_1 = c_0,   mu_(j+1) = -2 Re sum_(k>=1) c_k / (ik)^j,
+        G_K(x) = sum_(k!=0) c_k (e^(ikx) - 1) / (ik)^K,  |G_K| <= 4 sum_(k>=1) |c_k| / k^K.
 
-def _simpson_mean(y: np.ndarray, h: float, span: float) -> float:
-    total = (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-    return float(total / span)
-
-
-def _period_profile(g, omega: int, max_nodes: int):
-    """Means of the iterated antiderivatives of g over one period.
-
-    Returns (mus, max_last, cum_slop, mu1_err): the level means mu_1..mu_K,
-    the maximum magnitude of the K-th antiderivative (drives the tail
-    remainder bound), the dense-grid discretization error scale, and the
-    panel error of the mu_1 integral.
+    Returns (mus, max_last, mu_err): mu_1..mu_K, the bound on |G_K| (rounding
+    included) and a bound on the rounding error of each mu_j.
     """
-    if omega > 8192:
-        raise QuadratureError(f"combined oscillation rate {omega} exceeds the oracle grid")
-    m = 1 << max(12, (128 * max(omega, 1) - 1).bit_length())
-    m = min(m, _MAX_GRID)
-    h = _PERIOD / m
-    xs = np.linspace(0.0, _PERIOD, m + 1)
-    samples = g(xs)
-
-    mu1_integral, mu1_err = _integrate_adaptive(
-        g, 0.0, _PERIOD, _PERIOD / (4 * max(omega, 1)), 1e-11, max_nodes
-    )
-    mus = [mu1_integral / _PERIOD]
-    work = samples - mus[0]
+    m = max(32, 1 << (2 * (a * p + c * q)).bit_length())
+    x = np.arange(m) * (_PERIOD / m)
+    samples = np.sin(p * x) ** a
+    if c:
+        samples = samples * np.cos(q * x) ** c
+    fourier = np.fft.rfft(samples) / m
+    coeffs = fourier[1 : m // 2]  # the Nyquist bin of a degree < m/2 polynomial is 0
+    inv_k = 1.0 / np.arange(1, m // 2)
+    mus = [float(fourier[0].real)]
+    term = coeffs
     for _ in range(_LEVELS - 1):
-        level = _cumulative_simpson(work, h)
-        mu = _simpson_mean(level, h, _PERIOD)
-        mus.append(mu)
-        work = level - mu
-    last = _cumulative_simpson(work, h)
-    max_last = float(np.abs(last).max()) * 1.25 + 1e-15
-    # Composite-Simpson error scale for the cumulative antiderivatives.
-    cum_slop = 0.06 * (h * max(omega, 1)) ** 4
-    return mus, max_last, cum_slop, mu1_err
+        term = term * (inv_k / 1j)
+        mus.append(-2.0 * float(term.real.sum()))
+    # |g| <= 1.  Rounding p*x and q*x moves a sample by less than 13*omega*eps
+    # < 7*m*eps, and the FFT adds O(log2(m)*eps) to each coefficient.
+    coeff_err = 16.0 * m * _EPS
+    mu_err = 2.0 * coeff_err * float(inv_k.sum())
+    max_last = 4.0 * float(((np.abs(coeffs) + coeff_err) * inv_k**_LEVELS).sum())
+    return mus, max_last, mu_err
 
 
 def _tail_value(b: int, mus: list[float], x: float) -> float:
@@ -272,11 +248,51 @@ def _tail_value(b: int, mus: list[float], x: float) -> float:
     return total
 
 
-def _tail_remainder_bound(b: int, max_last: float, x: float) -> float:
-    coeff = 1.0
-    for j in range(_LEVELS):
-        coeff *= b + j
-    return coeff * max_last * x ** (1 - b - _LEVELS) / (b + _LEVELS - 1)
+def _tail_error(b: int, max_last: float, mu_err: float, periods: int) -> float:
+    """The tail's remainder bound plus the rounding of its mus, at X = periods * 2pi."""
+    x = periods * _PERIOD
+    remainder = math.prod(range(b, b + _LEVELS)) * max_last / (b + _LEVELS - 1)
+    remainder *= x ** (1 - b - _LEVELS)
+    # The tail value is linear in the mus with positive weights.
+    return remainder + _tail_value(b, [mu_err] * _LEVELS, x)
+
+
+def _reduced_quadrature(
+    a: int, b: int, c: int, p: int, q: int, tol: float, max_nodes: int
+) -> tuple[float, float]:
+    """(estimate, error bound) of the integral for p > 0 and q >= 0.
+
+    The tail takes at most tol / 4 and the head's Kronrod estimates tol / 2;
+    the caller checks the total against tol.
+    """
+    panels = 4 * (a * p + c * q)  # per period: none wider than a quarter oscillation
+    if 15 * panels > max_nodes:
+        raise QuadratureError(f"one period needs {15 * panels} evaluations, budget is {max_nodes}")
+    mus, max_last, mu_err = _period_profile(a, c, p, q)
+    if b == 1 and abs(mus[0]) > 1e-8:
+        raise QuadratureError(
+            f"b = 1 tail requires a zero-mean integrand, got period mean {mus[0]:.3e}"
+        )
+
+    periods = 1
+    while (tail_err := _tail_error(b, max_last, mu_err, periods)) > tol / 4.0:
+        periods *= 2
+        if periods > _MAX_PERIODS:
+            raise QuadratureError("tail bound cannot reach the requested tolerance")
+
+    f = _make_integrand(a, b, c, p, q)
+    x_end = periods * _PERIOD
+    head, head_err = _integrate_adaptive(f, 0.0, x_end, periods * panels, tol, max_nodes)
+    # The head's rounding can leave the tail less than its quarter of tol.
+    # The tail bound falls like X^-(b+3), so extending the head over [X, 2X]
+    # restores the room unless the rounding alone is too large.
+    while head_err < tol < head_err + tail_err and periods < _MAX_PERIODS:
+        more, more_err = _integrate_adaptive(f, x_end, 2 * x_end, periods * panels, tol - head_err, max_nodes)
+        head, head_err = head + more, head_err + more_err
+        periods *= 2
+        x_end = periods * _PERIOD
+        tail_err = _tail_error(b, max_last, mu_err, periods)
+    return head + _tail_value(b, mus, x_end), head_err + tail_err
 
 
 def quadrature(
@@ -300,41 +316,24 @@ def quadrature(
     if p == 0:
         return 0.0, 0.0
 
-    omega = a * p + c * q
-    f = _make_integrand(a, b, c, p, q)
-    g = _make_periodic_part(a, c, p, q)
-    mus, max_last, cum_slop, mu1_err = _period_profile(g, omega, max_nodes=max_nodes)
-
-    if b == 1 and abs(mus[0]) > 1e-8:
-        raise QuadratureError(
-            f"b = 1 tail requires a zero-mean integrand, got period mean {mus[0]:.3e}"
-        )
-
-    tail_budget = tol / 4.0
-    periods = 1
-    while True:
-        x_end = periods * _PERIOD
-        remainder = _tail_remainder_bound(b, max_last, x_end)
-        slop = 3.0 * cum_slop * x_end ** (-b)
-        if b >= 2:
-            slop += mu1_err * x_end ** (1 - b) / (b - 1)
-        if remainder + slop <= tail_budget:
-            break
-        periods *= 2
-        if periods > (1 << _MAX_PERIOD_DOUBLINGS):
-            raise QuadratureError("tail bound cannot reach the requested tolerance")
-
-    head, head_err = _integrate_adaptive(
-        f, 0.0, x_end, _PERIOD / (4 * max(omega, 1)), tol / 2.0, max_nodes
-    )
-    tail = _tail_value(b, mus, x_end)
-    estimate = sign * (head + tail)
-    error_bound = head_err + remainder + slop + 1e-12
+    # u = g*x gives I(a, b, c, g*p, g*q) = g^(b-1) * I(a, b, c, p, q).  With
+    # c = 0 the integrand does not depend on q, so g = p.
+    if c == 0:
+        q = 0
+    g = math.gcd(p, q)
+    try:
+        scale = float(g ** (b - 1))
+    except OverflowError:
+        raise QuadratureError(f"frequency scale {g}^{b - 1} exceeds double range") from None
+    estimate, bound = _reduced_quadrature(a, b, c, p // g, q // g, tol / scale, max_nodes)
+    estimate *= scale
+    # Half an ulp each for rounding g^(b-1) to a double and for the product.
+    error_bound = scale * bound + _EPS * abs(estimate) + 1e-12
     if error_bound > tol:
         raise QuadratureError(
             f"certified error {error_bound:.3e} exceeds requested tolerance {tol:.3e}"
         )
-    return float(estimate), float(error_bound)
+    return sign * estimate, error_bound
 
 
 @dataclass(frozen=True)

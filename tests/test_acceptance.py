@@ -5,6 +5,7 @@ the per-criterion verdicts also appear as the test outcomes themselves.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -55,15 +56,22 @@ def test_criterion_2_identity_certification():
 def test_criterion_3_oracle_agreement_grid():
     checked = 0
     worst = 0.0
+    worst_margin = (0.0, None)  # |diff| / (GRID_TOL + bound): 1 would use the whole allowance
+    slowest = (0.0, None)
     for params in _grid_params():
         exact_decimal = to_decimal(evaluate(params))
-        estimate, _bound = quadrature(params, GRID_TOL)
+        start = time.perf_counter()
+        estimate, bound = quadrature(params, GRID_TOL)
+        slowest = max(slowest, (time.perf_counter() - start, params), key=lambda t: t[0])
         diff = abs(exact_decimal - estimate)
         worst = max(worst, diff)
+        worst_margin = max(worst_margin, (diff / (GRID_TOL + bound), params), key=lambda t: t[0])
         assert diff <= GRID_AGREEMENT, f"oracle disagreement at {params}: {diff:.3e}"
         checked += 1
     assert checked == 6750
     print(f"oracle grid: {checked} cases, worst |exact - oracle| = {worst:.3e}")
+    print(f"oracle grid: worst margin {worst_margin[0]:.3e} at {worst_margin[1]}, "
+          f"slowest case {1e3 * slowest[0]:.2f} ms at {slowest[1]}")
     _report(3, "oracle agreement on the full (a,b,c,p,q) grid")
 
 

@@ -265,10 +265,16 @@ def test_selftest_small_bounds(capsys):
     assert "0 failures" in out
 
 
-def test_selftest_reports_injected_oracle_fault(capsys, monkeypatch):
-    # Harness sanity: a corrupted evaluator must drive the selftest to exit 4.
-    real_verify = cli.verify
+# 3000^3 * pi/3 needs relative precision 3.5e-17 to meet 1e-6: below double rounding.
+UNVERIFIABLE_ARGS = ["-a", "4", "-b", "4", "-c", "0", "-p", "3000", "-q", "0"]
+SMALL_SELFTEST = [
+    "selftest", "--max-a", "2", "--max-c", "0", "--max-p", "1", "--max-q", "0",
+    "--grid-max-a", "2", "--grid-max-c", "0", "--grid-max-p", "1", "--grid-max-q", "0",
+]
 
+
+def _disagreeing(real_verify):
+    """A verify whose exact side is off by 1.0: a disagreement, not a refusal."""
     def broken_verify(params, tol, **kwargs):
         report = real_verify(params, tol, **kwargs)
         return VerifyReport(
@@ -282,14 +288,49 @@ def test_selftest_reports_injected_oracle_fault(capsys, monkeypatch):
             passed=False,
         )
 
-    monkeypatch.setattr(cli, "verify", broken_verify)
+    return broken_verify
+
+
+def test_verify_unverifiable_has_its_own_exit_code(capsys):
+    code, out, _ = run_cli(["verify", *UNVERIFIABLE_ARGS], capsys)
+    assert code == 5
+    assert code == cli.EXIT_UNVERIFIABLE
+    record = strict_json(out)
+    assert record["pass"] is False
+    assert record["oracle"] is None
+    assert "rounding floor" in record["reason"]
+    code, out, _ = run_cli(["verify", *UNVERIFIABLE_ARGS, "--format", "plain"], capsys)
+    assert code == 5
+    assert ": UNVERIFIABLE (" in out
+
+
+def test_verify_disagreement_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify", _disagreeing(cli.verify))
     code, out, _ = run_cli(
-        ["selftest", "--max-a", "2", "--max-c", "0", "--max-p", "1", "--max-q", "0",
-         "--grid-max-a", "2", "--grid-max-c", "0", "--grid-max-p", "1", "--grid-max-q", "0"],
-        capsys,
+        ["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], capsys
     )
     assert code == 4
-    assert "FIRST FAILURE" in out
+    record = strict_json(out)
+    assert record["pass"] is False
+    assert "reason" not in record
+
+
+def test_selftest_reports_injected_oracle_fault(capsys, monkeypatch):
+    # Harness sanity: a corrupted evaluator must drive the selftest to exit 4.
+    monkeypatch.setattr(cli, "verify", _disagreeing(cli.verify))
+    code, out, _ = run_cli(SMALL_SELFTEST, capsys)
+    assert code == 4
+    assert "FIRST FAILURE (disagreement)" in out
+
+
+def test_selftest_names_an_unverifiable_first_failure(capsys, monkeypatch):
+    real_verify = cli.verify
+    monkeypatch.setattr(
+        cli, "verify", lambda params, tol, **kwargs: real_verify(IntegralParams(4, 4, 0, 3000, 0), tol)
+    )
+    code, out, _ = run_cli(SMALL_SELFTEST, capsys)
+    assert code == 4
+    assert "FIRST FAILURE (unverifiable)" in out
 
 
 def test_console_script_available():

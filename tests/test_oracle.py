@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import sincint.oracle as oracle_module
@@ -10,7 +11,9 @@ from sincint import (
     ExactValue,
     IntegralParams,
     QuadratureError,
+    TermKind,
     evaluate,
+    product_expansion,
     quadrature,
     to_decimal,
     verify,
@@ -79,15 +82,103 @@ def test_quadrature_fails_loudly_on_tiny_budget():
         quadrature(IntegralParams(6, 2, 4, 5, 5), 1e-6, max_nodes=40)
 
 
-def test_quadrature_rejects_extreme_oscillation():
-    with pytest.raises(QuadratureError):
-        quadrature(IntegralParams(2, 2, 0, 9000, 0), 1e-6)
+def test_gcd_reduction_verifies_high_frequency():
+    # gcd(p, q) = p when c = 0, so the oracle integrates I(2, 2, 0, 1, 0) and scales by 9000.
+    params = IntegralParams(2, 2, 0, 9000, 0)
+    est, bound = quadrature(params, 1e-6)
+    assert bound <= 1e-6
+    assert abs(est - to_decimal(evaluate(params))) <= bound
+    # cos^0 ignores q, so a coprime q must not stop the reduction.
+    assert quadrature(IntegralParams(2, 2, 0, 9000, 7), 1e-6) == (est, bound)
+
+
+def _counting_integrand(monkeypatch):
+    calls = []
+    make = oracle_module._make_integrand
+
+    def counting(*args):
+        f = make(*args)
+
+        def counted(x):
+            calls.append(len(x))
+            return f(x)
+
+        return counted
+
+    monkeypatch.setattr(oracle_module, "_make_integrand", counting)
+    return calls
+
+
+def test_rounding_floor_refuses_after_first_panelization(monkeypatch):
+    # 3000^3 * pi/3 to 1e-6 needs relative precision 3.5e-17, below double rounding.
+    calls = _counting_integrand(monkeypatch)
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        quadrature(IntegralParams(4, 4, 0, 3000, 0), 1e-6)
+    assert len(calls) == 1  # the first panelization, no refinement round
+
+
+def test_node_budget_refuses_before_the_fft(monkeypatch):
+    def no_profile(*args):
+        raise AssertionError("the period profile ran")
+
+    monkeypatch.setattr(oracle_module, "_period_profile", no_profile)
+    calls = _counting_integrand(monkeypatch)
+    # Coprime frequencies: omega = 299971, one period is 18M evaluations.
+    with pytest.raises(QuadratureError, match="budget"):
+        quadrature(IntegralParams(2, 2, 1, 99991, 99989), 1e-6)
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quadrature_refuses_values_beyond_double_range():
+    # (sin(100x)/x)^300 reaches 100^300 near 0; 1000^299 is the gcd scale factor.
+    for params in (IntegralParams(300, 300, 1, 100, 99), IntegralParams(300, 300, 0, 1000, 0)):
+        with pytest.raises(QuadratureError, match="double range"):
+            quadrature(params, 1e-6)
+
+
+def _profile_from_expansion(a, c, p, q):
+    """mu_1..mu_5 and the Fourier terms of W_4 from the exact product-to-sum expansion.
+
+    W_0 = g - mu_1; G_j is the antiderivative of W_(j-1) vanishing at 0,
+    mu_(j+1) its mean and W_j = G_j - mu_(j+1).  From 0, cos(Lx) integrates to
+    sin(Lx)/L and sin(Lx) to (1 - cos(Lx))/L.
+    """
+    poly = product_expansion(a, c, p, q)
+    mus = [poly.coeff(TermKind.CONST)]
+    cos = {t.frequency: t.coeff for t in poly if t.kind is TermKind.COS}
+    sin = {t.frequency: t.coeff for t in poly if t.kind is TermKind.SIN}
+    for _ in range(4):
+        mus.append(sum((s / L for L, s in sin.items()), Fraction(0)))
+        cos, sin = {L: -s / L for L, s in sin.items()}, {L: k / L for L, k in cos.items()}
+    return mus, cos, sin
+
+
+def test_period_profile_matches_product_expansion():
+    xs = np.linspace(0.0, 2.0 * math.pi, 4097)
+    for a in range(1, 9):
+        for c in range(0, 5):
+            for p in range(1, 5):
+                for q in range(0, 5):
+                    mus, max_last, _ = oracle_module._period_profile(a, c, p, q)
+                    exact_mus, cos, sin = _profile_from_expansion(a, c, p, q)
+                    for got, want in zip(mus, exact_mus[:4]):
+                        assert abs(got - float(want)) <= 1e-12, (a, c, p, q)
+                    # G_4 = W_4 + mu_5 is the antiderivative the remainder bound covers.
+                    last = np.full(xs.shape, float(exact_mus[4]))
+                    for L, k in cos.items():
+                        last += float(k) * np.cos(L * xs)
+                    for L, s in sin.items():
+                        last += float(s) * np.sin(L * xs)
+                    assert np.abs(last).max() <= max_last, (a, c, p, q)
 
 
 def test_error_bound_covers_true_error_on_sample():
     cases = [
         (2, 2, 0, 1, 0), (3, 2, 0, 1, 0), (4, 3, 2, 2, 3), (9, 9, 4, 5, 5),
         (10, 2, 4, 5, 5), (5, 3, 2, 2, 3), (6, 4, 1, 3, 2),
+        # reduced by gcd(p, q) before integrating
+        (4, 3, 2, 6, 9), (6, 4, 0, 12, 5), (2, 2, 0, 9000, 0),
     ]
     for a, b, c, p, q in cases:
         params = IntegralParams(a, b, c, p, q)
@@ -107,12 +198,12 @@ def test_halving_tolerance_does_not_worsen_agreement():
 
 
 def test_frequency_scaling_echo():
-    # c = 0 estimates scale like p^(b-1) within the combined bounds.
-    for a, b in [(2, 2), (5, 3), (6, 4)]:
-        base, base_bound = quadrature(IntegralParams(a, b, 0, 1, 0), 1e-6)
-        for p in (2, 3):
-            est, bound = quadrature(IntegralParams(a, b, 0, p, 0), 1e-6)
-            factor = float(p ** (b - 1))
+    # I(a, b, c, g*p, g*q) = g^(b-1) I(a, b, c, p, q) within the combined bounds.
+    for a, b, c, q in [(2, 2, 0, 0), (5, 3, 0, 0), (6, 4, 0, 0), (5, 3, 2, 2)]:
+        base, base_bound = quadrature(IntegralParams(a, b, c, 1, q), 1e-6)
+        for g in (2, 3):
+            est, bound = quadrature(IntegralParams(a, b, c, g, g * q), 1e-6)
+            factor = float(g ** (b - 1))
             assert abs(est - factor * base) <= bound + factor * base_bound + 1e-12
 
 
