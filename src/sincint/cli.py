@@ -20,7 +20,7 @@ import sys
 
 from .evaluator import evaluate
 from .identities import identity_sweep
-from .oracle import DEFAULT_TOL, MIN_TOL, to_decimal, verify
+from .oracle import DEFAULT_TOL, MIN_TOL, _finite_or_none, to_decimal, verify
 from .params import DomainError, IntegralParams
 
 EXIT_OK = 0
@@ -60,11 +60,7 @@ def _tolerance(flag: str | None) -> float:
 
 def _json(record: dict) -> str:
     """Strict JSON: a float outside double range becomes null."""
-    return json.dumps(
-        {key: None if isinstance(value, float) and not math.isfinite(value) else value
-         for key, value in record.items()},
-        allow_nan=False,
-    )
+    return json.dumps({key: _finite_or_none(value) for key, value in record.items()}, allow_nan=False)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:

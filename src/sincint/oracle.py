@@ -6,8 +6,12 @@ never touches the closed forms or the trigonometric expansions.  With
 g = gcd(p, q) (g = p when c = 0), u = g*x gives I(a, b, c, g*p', g*q') =
 g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
 
-* head [0, X]: adaptive Gauss-Kronrod 15(7) panels no wider than a quarter
-  oscillation, whose nodes never touch the removable point x = 0;
+* head [0, X]: one Gauss-Kronrod 15(7) pass over equal panels no wider than
+  a quarter oscillation, whose nodes never touch the removable point x = 0.
+  The integrand is entire of exponential type omega = a*p + c*q and the
+  panels are no wider than pi/(2 omega), so the Gauss error sits far below
+  double rounding: the pass is not refined, and a head whose error estimate
+  exceeds its share of tol is refused;
 * tail [X, inf): one FFT of raw samples of the periodic part
   sin^a(px) cos^c(qx), a trigonometric polynomial, gives its Fourier
   coefficients, and from them in closed form the means mu_k of its iterated
@@ -19,7 +23,8 @@ The error bound covers the panel estimates, the rounding across panels, the
 tail remainder and the rounding of the Fourier coefficients and the rescaling.
 A request that cannot be certified fails loudly, early where that is certain:
 when one period exceeds the node budget (before any FFT), or once the panels'
-rounding alone exceeds the tolerance.
+rounding alone exceeds the tolerance.  The node budget covers the whole head,
+its extension over [X, 2X] included.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ WORKING_DIGITS = 50
 _PERIOD = 2.0 * math.pi
 _LEVELS = 4  # antiderivative depth of the tail telescope
 _MAX_PERIODS = 1 << 14
+_MAX_NODES = 6_000_000  # integrand evaluations for the whole head
 _EPS = float(np.finfo(float).eps)
 
 
@@ -61,15 +67,13 @@ class QuadratureError(RuntimeError):
     """The requested tolerance could not be certified within the budget."""
 
 
-def to_decimal(value: ExactValue, digits: int = WORKING_DIGITS) -> float:
-    """Render an ExactValue to a double using digits-precision constants.
+def to_decimal(value: ExactValue) -> float:
+    """Render an ExactValue to a double using WORKING_DIGITS-precision constants.
 
-    pi and the ln(rho) are evaluated at the working precision (>= 15
-    digits), so the returned double is within 1 ulp of the true value.
+    pi and the ln(rho) are evaluated at the working precision (50 digits), so
+    the returned double is within 1 ulp of the true value.
     """
-    if digits < 15:
-        raise ValueError(f"working precision must be at least 15 digits, got {digits}")
-    with mpmath.workdps(digits):
+    with mpmath.workdps(WORKING_DIGITS):
         total = mpmath.mpf(0)
         if value.pi_coeff:
             total += _to_mpf(value.pi_coeff) * mpmath.pi
@@ -117,71 +121,44 @@ _WG[7] = _G7_WZERO
 _WG[[9, 11, 13]] = _G7_WPOS[::-1]
 
 
-def _batch_gk(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.ndarray):
-    """Kronrod estimates and |K15 - G7| error estimates for many panels."""
-    mid = 0.5 * (lows + highs)
-    half = 0.5 * (highs - lows)
-    xs = mid[:, None] + half[:, None] * _NODES[None, :]
-    fx = f(xs.ravel()).reshape(xs.shape)
-    kron = half * (fx * _WK).sum(axis=1)
-    gauss = half * (fx * _WG).sum(axis=1)
-    return kron, np.abs(kron - gauss)
-
-
-def _integrate_adaptive(
+def _gk_pass(
     f: Callable[[np.ndarray], np.ndarray],
     x0: float,
     x1: float,
     panels: int,
     tol: float,
-    max_nodes: int,
+    nodes_before: int = 0,
 ) -> tuple[float, float]:
-    """Adaptive panel integration of f over [x0, x1], starting from equal panels.
+    """One Gauss-Kronrod 15(7) pass over equal panels of [x0, x1]: (estimate, bound).
 
-    Panels are split until their Kronrod error estimates sum to at most
-    tol / 2; the returned bound adds the rounding accumulated across panels,
-    64 eps sum |values|.  Splitting panels lowers sum |values| by at most
-    about their errors, so once the rounding of sum |values| - sum errors
-    exceeds tol no refinement can bring the bound under tol: the call fails.
+    The Kronrod error estimates |K15 - G7| must sum to at most tol / 2; the
+    returned bound adds the rounding accumulated across panels, 64 eps
+    sum |values|.  The head's nodes so far plus this pass's must fit the
+    node budget.  Overflow, a rounding floor above tol and an error estimate
+    over its budget are refused, not refined.
     """
-    if 15 * panels > max_nodes:
-        raise QuadratureError(
-            f"initial panelization needs {15 * panels} evaluations, budget is {max_nodes}"
-        )
+    nodes = nodes_before + 15 * panels
+    if nodes > _MAX_NODES:
+        raise QuadratureError(f"the head needs {nodes} evaluations, budget is {_MAX_NODES}")
     edges = np.linspace(x0, x1, panels + 1)
-    lows, highs = edges[:-1], edges[1:]
-    vals, errs = _batch_gk(f, lows, highs)
-    nodes_used = 15 * panels
-    budget = tol / 2.0
-    for _ in range(48):
-        magnitude = float(np.abs(vals).sum())
-        total_err = float(errs.sum())
-        if not math.isfinite(total_err):
-            raise QuadratureError("the integrand overflows double range")
-        if 64.0 * _EPS * (magnitude - total_err) > tol:
-            raise QuadratureError(f"the tolerance needs relative precision {tol / magnitude:.1e}, "
-                                  f"below the rounding floor {64.0 * _EPS:.1e}")
-        if total_err <= budget:
-            return float(vals.sum()), total_err + 64.0 * _EPS * magnitude
-        # If every panel met its share the total would meet the budget, so
-        # the mask below is never empty.
-        mask = errs > budget / len(lows)
-        keep = ~mask
-        split_lo, split_hi = lows[mask], highs[mask]
-        mid = 0.5 * (split_lo + split_hi)
-        new_lo = np.concatenate([split_lo, mid])
-        new_hi = np.concatenate([mid, split_hi])
-        nodes_used += 15 * len(new_lo)
-        if nodes_used > max_nodes:
-            raise QuadratureError(
-                f"panel budget exhausted at error {total_err:.3e} (target {budget:.3e})"
-            )
-        new_vals, new_errs = _batch_gk(f, new_lo, new_hi)
-        lows = np.concatenate([lows[keep], new_lo])
-        highs = np.concatenate([highs[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-    raise QuadratureError("refinement stalled before reaching the error budget")
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xs = mid[:, None] + half[:, None] * _NODES[None, :]
+    # An overflow shows up as a non-finite error estimate, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = f(xs.ravel()).reshape(xs.shape)
+        vals = half * (fx * _WK).sum(axis=1)
+        errs = np.abs(vals - half * (fx * _WG).sum(axis=1))
+    magnitude = float(np.abs(vals).sum())
+    total_err = float(errs.sum())
+    if not math.isfinite(total_err):
+        raise QuadratureError("the integrand overflows double range")
+    if 64.0 * _EPS * (magnitude - total_err) > tol:
+        raise QuadratureError(f"the tolerance needs relative precision {tol / magnitude:.1e}, "
+                              f"below the rounding floor {64.0 * _EPS:.1e}")
+    if total_err > tol / 2.0:
+        raise QuadratureError(f"the head's error estimate {total_err:.3e} exceeds its budget {tol / 2.0:.3e}")
+    return float(vals.sum()), total_err + 64.0 * _EPS * magnitude
 
 
 def _make_integrand(a: int, b: int, c: int, p: int, q: int):
@@ -257,22 +234,16 @@ def _tail_error(b: int, max_last: float, mu_err: float, periods: int) -> float:
     return remainder + _tail_value(b, [mu_err] * _LEVELS, x)
 
 
-def _reduced_quadrature(
-    a: int, b: int, c: int, p: int, q: int, tol: float, max_nodes: int
-) -> tuple[float, float]:
+def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> tuple[float, float]:
     """(estimate, error bound) of the integral for p > 0 and q >= 0.
 
     The tail takes at most tol / 4 and the head's Kronrod estimates tol / 2;
     the caller checks the total against tol.
     """
     panels = 4 * (a * p + c * q)  # per period: none wider than a quarter oscillation
-    if 15 * panels > max_nodes:
-        raise QuadratureError(f"one period needs {15 * panels} evaluations, budget is {max_nodes}")
+    if 15 * panels > _MAX_NODES:
+        raise QuadratureError(f"one period needs {15 * panels} evaluations, budget is {_MAX_NODES}")
     mus, max_last, mu_err = _period_profile(a, c, p, q)
-    if b == 1 and abs(mus[0]) > 1e-8:
-        raise QuadratureError(
-            f"b = 1 tail requires a zero-mean integrand, got period mean {mus[0]:.3e}"
-        )
 
     periods = 1
     while (tail_err := _tail_error(b, max_last, mu_err, periods)) > tol / 4.0:
@@ -282,12 +253,13 @@ def _reduced_quadrature(
 
     f = _make_integrand(a, b, c, p, q)
     x_end = periods * _PERIOD
-    head, head_err = _integrate_adaptive(f, 0.0, x_end, periods * panels, tol, max_nodes)
+    head, head_err = _gk_pass(f, 0.0, x_end, periods * panels, tol)
     # The head's rounding can leave the tail less than its quarter of tol.
     # The tail bound falls like X^-(b+3), so extending the head over [X, 2X]
     # restores the room unless the rounding alone is too large.
     while head_err < tol < head_err + tail_err and periods < _MAX_PERIODS:
-        more, more_err = _integrate_adaptive(f, x_end, 2 * x_end, periods * panels, tol - head_err, max_nodes)
+        more, more_err = _gk_pass(f, x_end, 2 * x_end, periods * panels, tol - head_err,
+                                  nodes_before=15 * periods * panels)
         head, head_err = head + more, head_err + more_err
         periods *= 2
         x_end = periods * _PERIOD
@@ -300,7 +272,6 @@ def quadrature(
     tol: float = DEFAULT_TOL,
     *,
     allow_b1: bool = False,
-    max_nodes: int = 6_000_000,
 ) -> tuple[float, float]:
     """Estimate the integral directly; returns (estimate, error_bound).
 
@@ -325,7 +296,7 @@ def quadrature(
         scale = float(g ** (b - 1))
     except OverflowError:
         raise QuadratureError(f"frequency scale {g}^{b - 1} exceeds double range") from None
-    estimate, bound = _reduced_quadrature(a, b, c, p // g, q // g, tol / scale, max_nodes)
+    estimate, bound = _reduced_quadrature(a, b, c, p // g, q // g, tol / scale)
     estimate *= scale
     # Half an ulp each for rounding g^(b-1) to a double and for the product.
     error_bound = scale * bound + _EPS * abs(estimate) + 1e-12
@@ -373,9 +344,9 @@ class VerifyReport:
         return json.dumps(self.to_json_dict(), allow_nan=False)
 
 
-def _finite_or_none(x: Optional[float]) -> Optional[float]:
-    """JSON has no Infinity or NaN; a value outside double range is null."""
-    return x if x is None or math.isfinite(x) else None
+def _finite_or_none(x: object) -> object:
+    """JSON has no Infinity or NaN; a float outside double range is null."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def verify(
@@ -383,7 +354,6 @@ def verify(
     tol: float = DEFAULT_TOL,
     *,
     allow_b1: bool = False,
-    digits: int = WORKING_DIGITS,
 ) -> VerifyReport:
     """Evaluate exactly, render to decimal, quadrate, and compare.
 
@@ -392,7 +362,7 @@ def verify(
     rather than an exception.
     """
     exact = evaluate(params, allow_b1=allow_b1)
-    exact_decimal = to_decimal(exact, digits)
+    exact_decimal = to_decimal(exact)
     try:
         estimate, bound = quadrature(params, tol, allow_b1=allow_b1)
     except QuadratureError as exc:

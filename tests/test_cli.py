@@ -304,6 +304,18 @@ def test_verify_unverifiable_has_its_own_exit_code(capsys):
     assert ": UNVERIFIABLE (" in out
 
 
+def test_verify_overflow_keeps_stderr_clean():
+    # The head of I(300, 300, 1, 100, 99) overflows; the refusal alone reports it.
+    result = subprocess.run(
+        [sys.executable, "-m", "sincint.cli", "verify", "-a", "300", "-b", "300", "-c", "1", "-p", "100", "-q", "99"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 5
+    assert result.stderr == ""
+    assert "double range" in strict_json(result.stdout)["reason"]
+
+
 def test_verify_disagreement_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify", _disagreeing(cli.verify))
     code, out, _ = run_cli(

@@ -37,11 +37,6 @@ def test_to_decimal_zero():
     assert to_decimal(ExactValue.zero()) == 0.0
 
 
-def test_to_decimal_rejects_low_precision():
-    with pytest.raises(ValueError):
-        to_decimal(ExactValue.pi_multiple(1), digits=10)
-
-
 def test_to_decimal_scaling_stays_within_ulps():
     value = ExactValue(Fraction(1, 3), {2: Fraction(-5, 8), 5: Fraction(7, 3)})
     for factor in (Fraction(2), Fraction(3, 7), Fraction(11, 4)):
@@ -77,9 +72,10 @@ def test_quadrature_rejects_tolerance_below_floor():
             quadrature(IntegralParams(2, 2, 0, 1, 0), tol)
 
 
-def test_quadrature_fails_loudly_on_tiny_budget():
+def test_quadrature_fails_loudly_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_MAX_NODES", 40)
     with pytest.raises(QuadratureError):
-        quadrature(IntegralParams(6, 2, 4, 5, 5), 1e-6, max_nodes=40)
+        quadrature(IntegralParams(6, 2, 4, 5, 5), 1e-6)
 
 
 def test_gcd_reduction_verifies_high_frequency():
@@ -129,12 +125,41 @@ def test_node_budget_refuses_before_the_fft(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_quadrature_refuses_values_beyond_double_range():
     # (sin(100x)/x)^300 reaches 100^300 near 0; 1000^299 is the gcd scale factor.
     for params in (IntegralParams(300, 300, 1, 100, 99), IntegralParams(300, 300, 0, 1000, 0)):
         with pytest.raises(QuadratureError, match="double range"):
             quadrature(params, 1e-6)
+
+
+def test_head_refuses_instead_of_refining(monkeypatch):
+    # A discontinuous stand-in: its Kronrod error estimate cannot meet tol / 2
+    # on the first panels, and the head refuses rather than splitting them.
+    calls = []
+
+    def square_wave(*args):
+        def f(x):
+            calls.append(len(x))
+            return np.where(np.sin(7.3 * x) > 0, 1.0, -1.0) / (1 + x) ** 2
+
+        return f
+
+    monkeypatch.setattr(oracle_module, "_make_integrand", square_wave)
+    with pytest.raises(QuadratureError, match="error estimate"):
+        quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
+    assert len(calls) == 1
+
+
+def test_node_budget_covers_the_head_extension(monkeypatch):
+    # The head of I(9, 6, 0, 51, 24) is extended over [X, 2X]; with a budget of
+    # exactly its first pass the extension must be refused, not run afresh.
+    params = IntegralParams(9, 6, 0, 51, 24)
+    calls = _counting_integrand(monkeypatch)
+    quadrature(params, 1e-6)
+    assert len(calls) == 2
+    monkeypatch.setattr(oracle_module, "_MAX_NODES", calls[0])
+    with pytest.raises(QuadratureError, match="budget"):
+        quadrature(params, 1e-6)
 
 
 def _profile_from_expansion(a, c, p, q):
