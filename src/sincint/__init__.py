@@ -15,7 +15,6 @@ from .evaluator import (
 )
 from .exact import (
     ExactValue,
-    Rational,
     is_prime,
     parse_exact_value,
     prime_factorization,
@@ -53,7 +52,6 @@ __all__ = [
     "MIN_TOL",
     "ParityCase",
     "QuadratureError",
-    "Rational",
     "SweepRecord",
     "SweepReport",
     "TermKind",

@@ -19,13 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 __all__ = [
     "ExactValue",
-    "Rational",
     "is_prime",
     "parse_exact_value",
     "prime_factorization",

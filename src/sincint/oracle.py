@@ -11,7 +11,12 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
   The integrand is entire of exponential type omega = a*p + c*q and the
   panels are no wider than pi/(2 omega), so the Gauss error sits far below
   double rounding: the pass is not refined, and a head whose error estimate
-  exceeds its share of tol is refused;
+  exceeds its share of tol is refused.  After the gcd reduction p' and q' are
+  coprime, so sin^a(p'x) cos^c(q'x) has period 2pi and the panels start and
+  end on period boundaries: its sines and cosines are sampled on the first
+  period's nodes only and reused on every later one, times x^-b.  The oracle
+  still samples only the raw integrand, and a trigonometric argument stays
+  below 2pi*omega, so its rounding does not grow with X;
 * tail [X, inf): one FFT of raw samples of the periodic part
   sin^a(px) cos^c(qx), a trigonometric polynomial, gives its Fourier
   coefficients, and from them in closed form the means mu_k of its iterated
@@ -121,15 +126,66 @@ _WG[7] = _G7_WZERO
 _WG[[9, 11, 13]] = _G7_WPOS[::-1]
 
 
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an integer n >= 0 by repeated squaring: log2(n) multiplies, not pow."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return np.ones_like(x) if result is None else result
+
+
+def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
+    """The raw integrand on the Gauss-Kronrod nodes of `panels` equal panels per period.
+
+    For coprime p and q (q = 0 when c = 0), g(x) = sin^a(px) cos^c(qx) has
+    period 2pi and the panels start and end on period boundaries, so every
+    node is x = 2pi k + t_j for the nodes t_j of the first period.  The sines
+    and cosines are computed once, on the t_j; period k >= 1 takes
+    g(t_j) * (1 / (2pi k + t_j))^b.  Period 0 takes the bounded form
+    (sin(pt)/t)^b sin^(a-b)(pt) cos^c(qt), so nothing underflows near x = 0,
+    which no node touches.
+
+    Returns (half, values): the panels' half-widths and values(k0, k1), the
+    integrand on the nodes of periods k0 <= k < k1, shaped (k1 - k0, panels, 15).
+    """
+    edges = np.linspace(0.0, _PERIOD, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _NODES
+    # An overflow shows up as a non-finite error estimate, checked in _gk_pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sp = np.sin(p * t)
+        rest = _power(sp, a - b)
+        if c:
+            rest = rest * _power(np.cos(q * t), c)
+        first = _power(sp / t, b) * rest
+        periodic = _power(sp, b) * rest
+
+    def values(k0: int, k1: int) -> np.ndarray:
+        fx = np.empty((k1 - k0, *t.shape))
+        if k0 == 0:
+            fx[0] = first
+        later = fx[1:] if k0 == 0 else fx  # filled in place: the head's largest arrays
+        np.add(_PERIOD * np.arange(max(k0, 1), k1)[:, None, None], t, out=later)
+        np.divide(1.0, later, out=later)
+        np.multiply(periodic, _power(later, b), out=later)
+        return fx
+
+    return half, values
+
+
 def _gk_pass(
-    f: Callable[[np.ndarray], np.ndarray],
-    x0: float,
-    x1: float,
-    panels: int,
+    half: np.ndarray,
+    values: Callable[[int, int], np.ndarray],
+    k0: int,
+    k1: int,
     tol: float,
     nodes_before: int = 0,
 ) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) pass over equal panels of [x0, x1]: (estimate, bound).
+    """One Gauss-Kronrod 15(7) pass over periods k0 <= k < k1: (estimate, bound).
 
     The Kronrod error estimates |K15 - G7| must sum to at most tol / 2; the
     returned bound adds the rounding accumulated across panels, 64 eps
@@ -137,18 +193,13 @@ def _gk_pass(
     node budget.  Overflow, a rounding floor above tol and an error estimate
     over its budget are refused, not refined.
     """
-    nodes = nodes_before + 15 * panels
+    nodes = nodes_before + 15 * half.size * (k1 - k0)
     if nodes > _MAX_NODES:
         raise QuadratureError(f"the head needs {nodes} evaluations, budget is {_MAX_NODES}")
-    edges = np.linspace(x0, x1, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = mid[:, None] + half[:, None] * _NODES[None, :]
-    # An overflow shows up as a non-finite error estimate, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = f(xs.ravel()).reshape(xs.shape)
-        vals = half * (fx * _WK).sum(axis=1)
-        errs = np.abs(vals - half * (fx * _WG).sum(axis=1))
+        fx = values(k0, k1)
+        vals = half * (fx @ _WK)
+        errs = np.abs(vals - half * (fx @ _WG))
     magnitude = float(np.abs(vals).sum())
     total_err = float(errs.sum())
     if not math.isfinite(total_err):
@@ -159,25 +210,6 @@ def _gk_pass(
     if total_err > tol / 2.0:
         raise QuadratureError(f"the head's error estimate {total_err:.3e} exceeds its budget {tol / 2.0:.3e}")
     return float(vals.sum()), total_err + 64.0 * _EPS * magnitude
-
-
-def _make_integrand(a: int, b: int, c: int, p: int, q: int):
-    """Raw integrand as (sin(px)/x)^b * sin(px)^(a-b) * cos(qx)^c.
-
-    Every factor stays bounded, so nothing underflows for small x.  Gauss-
-    Kronrod nodes lie inside their panels, so x = 0 is never sampled.
-    """
-
-    def f(x: np.ndarray) -> np.ndarray:
-        sp = np.sin(p * x)
-        vals = (sp / x) ** b
-        if a > b:
-            vals = vals * sp ** (a - b)
-        if c:
-            vals = vals * np.cos(q * x) ** c
-        return vals
-
-    return f
 
 
 def _period_profile(a: int, c: int, p: int, q: int):
@@ -195,9 +227,9 @@ def _period_profile(a: int, c: int, p: int, q: int):
     """
     m = max(32, 1 << (2 * (a * p + c * q)).bit_length())
     x = np.arange(m) * (_PERIOD / m)
-    samples = np.sin(p * x) ** a
+    samples = _power(np.sin(p * x), a)
     if c:
-        samples = samples * np.cos(q * x) ** c
+        samples = samples * _power(np.cos(q * x), c)
     fourier = np.fft.rfft(samples) / m
     coeffs = fourier[1 : m // 2]  # the Nyquist bin of a degree < m/2 polynomial is 0
     inv_k = 1.0 / np.arange(1, m // 2)
@@ -210,7 +242,7 @@ def _period_profile(a: int, c: int, p: int, q: int):
     # < 7*m*eps, and the FFT adds O(log2(m)*eps) to each coefficient.
     coeff_err = 16.0 * m * _EPS
     mu_err = 2.0 * coeff_err * float(inv_k.sum())
-    max_last = 4.0 * float(((np.abs(coeffs) + coeff_err) * inv_k**_LEVELS).sum())
+    max_last = 4.0 * float(((np.abs(coeffs) + coeff_err) * _power(inv_k, _LEVELS)).sum())
     return mus, max_last, mu_err
 
 
@@ -251,20 +283,18 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
         if periods > _MAX_PERIODS:
             raise QuadratureError("tail bound cannot reach the requested tolerance")
 
-    f = _make_integrand(a, b, c, p, q)
-    x_end = periods * _PERIOD
-    head, head_err = _gk_pass(f, 0.0, x_end, periods * panels, tol)
+    half, values = _sample_period(a, b, c, p, q, panels)
+    head, head_err = _gk_pass(half, values, 0, periods, tol)
     # The head's rounding can leave the tail less than its quarter of tol.
     # The tail bound falls like X^-(b+3), so extending the head over [X, 2X]
     # restores the room unless the rounding alone is too large.
     while head_err < tol < head_err + tail_err and periods < _MAX_PERIODS:
-        more, more_err = _gk_pass(f, x_end, 2 * x_end, periods * panels, tol - head_err,
+        more, more_err = _gk_pass(half, values, periods, 2 * periods, tol - head_err,
                                   nodes_before=15 * periods * panels)
         head, head_err = head + more, head_err + more_err
         periods *= 2
-        x_end = periods * _PERIOD
         tail_err = _tail_error(b, max_last, mu_err, periods)
-    return head + _tail_value(b, mus, x_end), head_err + tail_err
+    return head + _tail_value(b, mus, periods * _PERIOD), head_err + tail_err
 
 
 def quadrature(

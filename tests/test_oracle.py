@@ -88,26 +88,28 @@ def test_gcd_reduction_verifies_high_frequency():
     assert quadrature(IntegralParams(2, 2, 0, 9000, 7), 1e-6) == (est, bound)
 
 
-def _counting_integrand(monkeypatch):
+def _counting_sampler(monkeypatch):
+    """Record the node count of every evaluation pass over the head's periods."""
     calls = []
-    make = oracle_module._make_integrand
+    sample = oracle_module._sample_period
 
     def counting(*args):
-        f = make(*args)
+        half, values = sample(*args)
 
-        def counted(x):
-            calls.append(len(x))
-            return f(x)
+        def counted(k0, k1):
+            fx = values(k0, k1)
+            calls.append(fx.size)
+            return fx
 
-        return counted
+        return half, counted
 
-    monkeypatch.setattr(oracle_module, "_make_integrand", counting)
+    monkeypatch.setattr(oracle_module, "_sample_period", counting)
     return calls
 
 
 def test_rounding_floor_refuses_after_first_panelization(monkeypatch):
     # 3000^3 * pi/3 to 1e-6 needs relative precision 3.5e-17, below double rounding.
-    calls = _counting_integrand(monkeypatch)
+    calls = _counting_sampler(monkeypatch)
     with pytest.raises(QuadratureError, match="rounding floor"):
         quadrature(IntegralParams(4, 4, 0, 3000, 0), 1e-6)
     assert len(calls) == 1  # the first panelization, no refinement round
@@ -118,7 +120,7 @@ def test_node_budget_refuses_before_the_fft(monkeypatch):
         raise AssertionError("the period profile ran")
 
     monkeypatch.setattr(oracle_module, "_period_profile", no_profile)
-    calls = _counting_integrand(monkeypatch)
+    calls = _counting_sampler(monkeypatch)
     # Coprime frequencies: omega = 299971, one period is 18M evaluations.
     with pytest.raises(QuadratureError, match="budget"):
         quadrature(IntegralParams(2, 2, 1, 99991, 99989), 1e-6)
@@ -133,18 +135,23 @@ def test_quadrature_refuses_values_beyond_double_range():
 
 
 def test_head_refuses_instead_of_refining(monkeypatch):
-    # A discontinuous stand-in: its Kronrod error estimate cannot meet tol / 2
-    # on the first panels, and the head refuses rather than splitting them.
+    # A discontinuous periodic stand-in: its Kronrod error estimate cannot meet
+    # tol / 2 on the first panels, and the head refuses rather than splitting them.
     calls = []
 
     def square_wave(*args):
-        def f(x):
-            calls.append(len(x))
-            return np.where(np.sin(7.3 * x) > 0, 1.0, -1.0) / (1 + x) ** 2
+        edges = np.linspace(0.0, 2.0 * math.pi, 9)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * oracle_module._NODES
+        wave = np.sign(np.sin(7.3 * t))
 
-        return f
+        def values(k0, k1):
+            calls.append((k0, k1))
+            return wave / (1.0 + 2.0 * math.pi * np.arange(k0, k1)[:, None, None] + t) ** 2
 
-    monkeypatch.setattr(oracle_module, "_make_integrand", square_wave)
+        return half, values
+
+    monkeypatch.setattr(oracle_module, "_sample_period", square_wave)
     with pytest.raises(QuadratureError, match="error estimate"):
         quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
     assert len(calls) == 1
@@ -154,12 +161,49 @@ def test_node_budget_covers_the_head_extension(monkeypatch):
     # The head of I(9, 6, 0, 51, 24) is extended over [X, 2X]; with a budget of
     # exactly its first pass the extension must be refused, not run afresh.
     params = IntegralParams(9, 6, 0, 51, 24)
-    calls = _counting_integrand(monkeypatch)
+    calls = _counting_sampler(monkeypatch)
     quadrature(params, 1e-6)
     assert len(calls) == 2
     monkeypatch.setattr(oracle_module, "_MAX_NODES", calls[0])
     with pytest.raises(QuadratureError, match="budget"):
         quadrature(params, 1e-6)
+
+
+def _direct_head(a, b, c, p, q, k0, k1, dtype):
+    """The head's Kronrod sum over periods k0 <= k < k1 in dtype arithmetic.
+
+    The raw integrand (sin(px)/x)^b sin^(a-b)(px) cos^c(qx) is evaluated at
+    every node x = 2pi k + t itself, on the oracle's panels, nodes and weights.
+    """
+    edges = np.linspace(0.0, 2.0 * math.pi, 4 * (a * p + c * q) + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * oracle_module._NODES
+    two_pi = 8 * np.arctan(dtype(1))
+    x = two_pi * np.arange(k0, k1, dtype=dtype)[:, None, None] + t.astype(dtype)
+    f = (np.sin(p * x) / x) ** b * np.sin(p * x) ** (a - b) * np.cos(q * x) ** c
+    return (half.astype(dtype) * (f @ oracle_module._WK.astype(dtype))).sum()
+
+
+def test_head_passes_match_the_raw_integrand_period_by_period():
+    # Period 0 alone, periods past it, and an [X, 2X] extension pass: an
+    # off-by-one in k, or a skipped or doubled period, moves the sum far
+    # beyond the claimed bound.
+    for a, b, c, p, q in [(9, 6, 0, 17, 8), (7, 6, 3, 23, 11), (5, 3, 2, 2, 3)]:
+        half, values = oracle_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
+        for k0, k1 in [(0, 1), (0, 4), (1, 4), (4, 8)]:
+            head, bound = oracle_module._gk_pass(half, values, k0, k1, 1e-6)
+            direct = _direct_head(a, b, c, p, q, k0, k1, np.float64)
+            assert abs(head - direct) <= bound, (a, b, c, p, q, k0, k1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than double")
+def test_head_bound_covers_rounding_against_long_double():
+    for a, b, c, p, q in [(9, 6, 0, 17, 8), (7, 6, 3, 23, 11), (4, 4, 2, 9, 7), (10, 10, 2, 2, 1)]:
+        half, values = oracle_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
+        for periods in (4, 16):
+            head, bound = oracle_module._gk_pass(half, values, 0, periods, 1e-6)
+            reference = _direct_head(a, b, c, p, q, 0, periods, np.longdouble)
+            assert abs(np.longdouble(head) - reference) <= bound, (a, b, c, p, q, periods)
 
 
 def _profile_from_expansion(a, c, p, q):
@@ -204,6 +248,8 @@ def test_error_bound_covers_true_error_on_sample():
         (10, 2, 4, 5, 5), (5, 3, 2, 2, 3), (6, 4, 1, 3, 2),
         # reduced by gcd(p, q) before integrating
         (4, 3, 2, 6, 9), (6, 4, 0, 12, 5), (2, 2, 0, 9000, 0),
+        # sin^150 underflows at the first nodes, where (sin(x)/x)^150 is near 1
+        (150, 150, 0, 1, 0),
     ]
     for a, b, c, p, q in cases:
         params = IntegralParams(a, b, c, p, q)
