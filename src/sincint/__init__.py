@@ -8,11 +8,7 @@ combinatorial cancellation they rely on, and cross-checks every value
 against an independent adaptive quadrature of the raw integrand.
 """
 
-from .evaluator import (
-    evaluate,
-    evaluate_integral,
-    normalize_signs,
-)
+from .evaluator import evaluate, evaluate_integral
 from .exact import (
     ExactValue,
     is_prime,
@@ -65,7 +61,6 @@ __all__ = [
     "evaluate_integral",
     "identity_sweep",
     "is_prime",
-    "normalize_signs",
     "parse_exact_value",
     "prime_factorization",
     "product_expansion",

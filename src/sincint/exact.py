@@ -87,10 +87,6 @@ class ExactValue:
         object.__setattr__(self, "log_coeffs", cleaned)
 
     @classmethod
-    def zero(cls) -> "ExactValue":
-        return cls()
-
-    @classmethod
     def pi_multiple(cls, coeff: RationalLike) -> "ExactValue":
         return cls(pi_coeff=Fraction(coeff))
 

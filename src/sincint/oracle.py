@@ -13,8 +13,10 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
   double rounding: the pass is not refined, and a head whose error estimate
   exceeds its share of tol is refused.  After the gcd reduction p' and q' are
   coprime, so sin^a(p'x) cos^c(q'x) has period 2pi and the panels start and
-  end on period boundaries: its sines and cosines are sampled on the first
-  period's nodes only and reused on every later one, times x^-b.  The oracle
+  end on period boundaries: every node is x = 2pi k + t for a node t of the
+  first period, and every period, the first included, takes the one formula
+      (sin(p't) / x)^b * sin^(a-b)(p't) * cos^c(q't),
+  whose sines and cosines are sampled on the first period only.  The oracle
   still samples only the raw integrand, and a trigonometric argument stays
   below 2pi*omega, so its rounding does not grow with X;
 * tail [X, inf): one FFT of raw samples of the periodic part
@@ -26,10 +28,12 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
 
 The error bound covers the panel estimates, the rounding across panels, the
 tail remainder and the rounding of the Fourier coefficients and the rescaling.
-A request that cannot be certified fails loudly, early where that is certain:
-when one period exceeds the node budget (before any FFT), or once the panels'
-rounding alone exceeds the tolerance.  The node budget covers the whole head,
-its extension over [X, 2X] included.
+A request that cannot be certified fails loudly, early where that is certain.
+One node budget bounds the whole head: a period that alone exceeds it is
+refused before the FFT, and every doubling of the periods, for the tail or
+for the head's extension over [X, 2X], is refused once it would exceed it,
+before the head is sampled for those periods.  A head whose panels' rounding
+alone exceeds the tolerance is refused too.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Callable, Optional
 import mpmath
 import numpy as np
 
-from .evaluator import evaluate, normalize_signs
+from .evaluator import evaluate
 from .exact import ExactValue
 from .params import IntegralParams, validate_for_evaluation
 
@@ -63,7 +67,6 @@ WORKING_DIGITS = 50
 
 _PERIOD = 2.0 * math.pi
 _LEVELS = 4  # antiderivative depth of the tail telescope
-_MAX_PERIODS = 1 << 14
 _MAX_NODES = 6_000_000  # integrand evaluations for the whole head
 _EPS = float(np.finfo(float).eps)
 
@@ -141,13 +144,12 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
 def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
     """The raw integrand on the Gauss-Kronrod nodes of `panels` equal panels per period.
 
-    For coprime p and q (q = 0 when c = 0), g(x) = sin^a(px) cos^c(qx) has
-    period 2pi and the panels start and end on period boundaries, so every
-    node is x = 2pi k + t_j for the nodes t_j of the first period.  The sines
-    and cosines are computed once, on the t_j; period k >= 1 takes
-    g(t_j) * (1 / (2pi k + t_j))^b.  Period 0 takes the bounded form
-    (sin(pt)/t)^b sin^(a-b)(pt) cos^c(qt), so nothing underflows near x = 0,
-    which no node touches.
+    For coprime p and q (q = 0 when c = 0), sin^a(px) cos^c(qx) has period
+    2pi and the panels start and end on period boundaries, so every node is
+    x = 2pi k + t_j for the nodes t_j of the first period.  The sines and
+    cosines are computed once, on the t_j, and every period k >= 0 takes the
+    one formula (sin(pt_j) / x)^b sin^(a-b)(pt_j) cos^c(qt_j): nothing
+    underflows near x = 0, which no node touches.
 
     Returns (half, values): the panels' half-widths and values(k0, k1), the
     integrand on the nodes of periods k0 <= k < k1, shaped (k1 - k0, panels, 15).
@@ -161,18 +163,12 @@ def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
         rest = _power(sp, a - b)
         if c:
             rest = rest * _power(np.cos(q * t), c)
-        first = _power(sp / t, b) * rest
-        periodic = _power(sp, b) * rest
 
     def values(k0: int, k1: int) -> np.ndarray:
-        fx = np.empty((k1 - k0, *t.shape))
-        if k0 == 0:
-            fx[0] = first
-        later = fx[1:] if k0 == 0 else fx  # filled in place: the head's largest arrays
-        np.add(_PERIOD * np.arange(max(k0, 1), k1)[:, None, None], t, out=later)
-        np.divide(1.0, later, out=later)
-        np.multiply(periodic, _power(later, b), out=later)
-        return fx
+        x = np.add(_PERIOD * np.arange(k0, k1)[:, None, None], t)
+        np.divide(sp, x, out=x)  # in place: the head's largest arrays
+        fx = _power(x, b)
+        return np.multiply(fx, rest, out=fx)
 
     return half, values
 
@@ -183,19 +179,14 @@ def _gk_pass(
     k0: int,
     k1: int,
     tol: float,
-    nodes_before: int = 0,
 ) -> tuple[float, float]:
     """One Gauss-Kronrod 15(7) pass over periods k0 <= k < k1: (estimate, bound).
 
     The Kronrod error estimates |K15 - G7| must sum to at most tol / 2; the
     returned bound adds the rounding accumulated across panels, 64 eps
-    sum |values|.  The head's nodes so far plus this pass's must fit the
-    node budget.  Overflow, a rounding floor above tol and an error estimate
+    sum |values|.  Overflow, a rounding floor above tol and an error estimate
     over its budget are refused, not refined.
     """
-    nodes = nodes_before + 15 * half.size * (k1 - k0)
-    if nodes > _MAX_NODES:
-        raise QuadratureError(f"the head needs {nodes} evaluations, budget is {_MAX_NODES}")
     with np.errstate(over="ignore", invalid="ignore"):
         fx = values(k0, k1)
         vals = half * (fx @ _WK)
@@ -273,24 +264,27 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
     the caller checks the total against tol.
     """
     panels = 4 * (a * p + c * q)  # per period: none wider than a quarter oscillation
-    if 15 * panels > _MAX_NODES:
+    max_periods = _MAX_NODES // (15 * panels)
+    if not max_periods:
         raise QuadratureError(f"one period needs {15 * panels} evaluations, budget is {_MAX_NODES}")
-    mus, max_last, mu_err = _period_profile(a, c, p, q)
 
+    def doubled(periods: int) -> int:
+        if 2 * periods > max_periods:
+            raise QuadratureError(f"the head needs {15 * panels * 2 * periods} evaluations, budget is {_MAX_NODES}")
+        return 2 * periods
+
+    mus, max_last, mu_err = _period_profile(a, c, p, q)
     periods = 1
     while (tail_err := _tail_error(b, max_last, mu_err, periods)) > tol / 4.0:
-        periods *= 2
-        if periods > _MAX_PERIODS:
-            raise QuadratureError("tail bound cannot reach the requested tolerance")
+        periods = doubled(periods)
 
     half, values = _sample_period(a, b, c, p, q, panels)
     head, head_err = _gk_pass(half, values, 0, periods, tol)
     # The head's rounding can leave the tail less than its quarter of tol.
     # The tail bound falls like X^-(b+3), so extending the head over [X, 2X]
     # restores the room unless the rounding alone is too large.
-    while head_err < tol < head_err + tail_err and periods < _MAX_PERIODS:
-        more, more_err = _gk_pass(half, values, periods, 2 * periods, tol - head_err,
-                                  nodes_before=15 * periods * panels)
+    while head_err < tol < head_err + tail_err:
+        more, more_err = _gk_pass(half, values, periods, doubled(periods), tol - head_err)
         head, head_err = head + more, head_err + more_err
         periods *= 2
         tail_err = _tail_error(b, max_last, mu_err, periods)
@@ -312,15 +306,16 @@ def quadrature(
     if not tol >= MIN_TOL:  # also rejects NaN
         raise ValueError(f"tolerance {tol!r} is not a number >= {MIN_TOL}, the double-precision oracle's floor")
     validate_for_evaluation(params, allow_b1=allow_b1)
-    sign, norm = normalize_signs(params)
-    a, b, c, p, q = norm.a, norm.b, norm.c, norm.p, norm.q
+    a, b, c = params.a, params.b, params.c
+    # The integrand depends on q only through |q| (not at all when c = 0),
+    # and on the sign of p only through the factor sign(p)^a.
+    p, q = abs(params.p), (abs(params.q) if c else 0)
     if p == 0:
         return 0.0, 0.0
+    sign = -1 if params.p < 0 and a % 2 else 1
 
-    # u = g*x gives I(a, b, c, g*p, g*q) = g^(b-1) * I(a, b, c, p, q).  With
-    # c = 0 the integrand does not depend on q, so g = p.
-    if c == 0:
-        q = 0
+    # u = g*x gives I(a, b, c, g*p, g*q) = g^(b-1) * I(a, b, c, p, q); with
+    # q = 0, g = p.
     g = math.gcd(p, q)
     try:
         scale = float(g ** (b - 1))
@@ -393,21 +388,13 @@ def verify(
     """
     exact = evaluate(params, allow_b1=allow_b1)
     exact_decimal = to_decimal(exact)
+    estimate = bound = abs_diff = reason = None
     try:
         estimate, bound = quadrature(params, tol, allow_b1=allow_b1)
     except QuadratureError as exc:
-        return VerifyReport(
-            params=params,
-            exact=exact,
-            exact_decimal=exact_decimal,
-            oracle_estimate=None,
-            oracle_error_bound=None,
-            abs_diff=None,
-            tolerance=tol,
-            passed=False,
-            reason=str(exc),
-        )
-    abs_diff = abs(exact_decimal - estimate)
+        reason = str(exc)
+    else:
+        abs_diff = abs(exact_decimal - estimate)
     return VerifyReport(
         params=params,
         exact=exact,
@@ -416,5 +403,6 @@ def verify(
         oracle_error_bound=bound,
         abs_diff=abs_diff,
         tolerance=tol,
-        passed=abs_diff <= tol + bound,
+        passed=reason is None and abs_diff <= tol + bound,
+        reason=reason,
     )

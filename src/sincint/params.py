@@ -55,16 +55,6 @@ class IntegralParams:
             raise DomainError("c >= 0")
 
     @property
-    def s(self) -> int:
-        """Parity of the sine exponent: a mod 2."""
-        return self.a % 2
-
-    @property
-    def t(self) -> int:
-        """Parity of the cosine exponent: c mod 2."""
-        return self.c % 2
-
-    @property
     def parity_case(self) -> ParityCase:
         """SAME when a and b agree mod 2 (pi-valued case), else OPPOSITE."""
         return ParityCase.SAME if (self.a - self.b) % 2 == 0 else ParityCase.OPPOSITE

@@ -83,14 +83,6 @@ class TrigPoly:
                 coeffs[key] = total
         self._coeffs = coeffs
 
-    @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, coeff: RationalLike) -> "TrigPoly":
-        return cls([(TermKind.CONST, 0, coeff)])
-
     @property
     def terms(self) -> tuple[TrigTerm, ...]:
         keys = sorted(self._coeffs, key=lambda k: (k[0].value, k[1]))
@@ -103,16 +95,10 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def kinds(self) -> set[TermKind]:
-        return {kind for kind, _ in self._coeffs}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
 
     def __iter__(self) -> Iterator[TrigTerm]:
         return iter(self.terms)
@@ -125,21 +111,9 @@ class TrigPoly:
         )
         return f"TrigPoly({body or '0'})"
 
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        items = [(k, f, c) for (k, f), c in self._coeffs.items()]
-        items += [(k, f, c) for (k, f), c in other._coeffs.items()]
-        return TrigPoly(items)
-
     def scale(self, factor: RationalLike) -> "TrigPoly":
         r = Fraction(factor)
         return TrigPoly([(k, f, c * r) for (k, f), c in self._coeffs.items()])
-
-    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return trig_product(self, other)
 
     def derivative(self) -> "TrigPoly":
         """Exact d/dx: sin(fx) -> f cos(fx), cos(fx) -> -f sin(fx)."""

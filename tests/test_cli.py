@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import sincint.cli as cli
+import sincint.identities as identities
 from sincint import IntegralParams, evaluate, parse_exact_value
 from sincint.oracle import VerifyReport
 from sincint.exact import ExactValue
@@ -56,10 +57,12 @@ def test_eval_json_record(capsys):
 
 
 def test_eval_domain_error_names_constraint(capsys):
-    code, out, err = run_cli(["eval", "-a", "2", "-b", "3", "-c", "0", "-p", "1", "-q", "0"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "a >= b" in err
+    # verify reports a domain error the same way, before any quadrature.
+    for command in ("eval", "verify"):
+        code, out, err = run_cli([command, "-a", "2", "-b", "3", "-c", "0", "-p", "1", "-q", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "domain error: constraint violated: a >= b [a >= b]\n"
 
 
 def test_eval_b1_needs_flag(capsys):
@@ -215,12 +218,25 @@ def test_batch_domain_error_reported_inline(tmp_path, capsys):
 
 def test_batch_parse_error_reported_inline(tmp_path, capsys):
     path = tmp_path / "cases.txt"
-    path.write_text("2 2 0 1\n2 2 0 1 0\n")
+    path.write_text("2 2 0 1\n2 2 0 1 0\n1 2 x 4 5\n")
     code, out, _ = run_cli(["batch", str(path)], capsys)
     assert code == 3
-    first, second = (json.loads(line) for line in out.splitlines())
+    first, second, third = (json.loads(line) for line in out.splitlines())
     assert first["status"] == "parse_error"
     assert second["status"] == "ok"
+    assert third == {"status": "parse_error", "input": "1 2 x 4 5", "error": "fields must be integers"}
+
+
+def test_batch_plain_reports_every_status(tmp_path, capsys):
+    path = tmp_path / "cases.txt"
+    path.write_text("2 2 0 1 0\n2 3 0 1 0\n2 2 0 1\n")
+    code, out, _ = run_cli(["batch", str(path), "--format", "plain"], capsys)
+    assert code == 3
+    assert out.splitlines() == [
+        "2 2 0 1 0 -> 1/2*pi = 1.5707963267948966",
+        "2 3 0 1 0 -> domain_error: a >= b",
+        "2 2 0 1 -> parse_error: expected 5 integers, got 4 fields",
+    ]
 
 
 def test_batch_unreadable_file(capsys):
@@ -325,6 +341,14 @@ def test_verify_disagreement_exits_4(capsys, monkeypatch):
     record = strict_json(out)
     assert record["pass"] is False
     assert "reason" not in record
+
+
+def test_selftest_names_a_failing_identity_tuple(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "_boundary_value", lambda weights, h: int(h == 1))
+    code, out, _ = run_cli(["selftest", "--max-a", "3", "--max-c", "0", "--max-p", "1", "--max-q", "0"], capsys)
+    assert code == 4
+    assert "identity sweep: 4 tuples, 2 failures" in out
+    assert "FIRST FAILURE: identity tuple a=3 c=0 p=0 q=0 h=1" in out
 
 
 def test_selftest_reports_injected_oracle_fault(capsys, monkeypatch):

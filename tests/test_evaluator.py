@@ -13,19 +13,9 @@ from sincint import (
     ParityCase,
     evaluate,
     evaluate_integral,
-    normalize_signs,
     quadrature,
     to_decimal,
 )
-
-
-def test_normalize_signs_examples():
-    sign, norm = normalize_signs(IntegralParams(3, 2, 0, -1, 2))
-    assert (sign, norm.p, norm.q) == (-1, 1, 2)
-    sign, norm = normalize_signs(IntegralParams(4, 2, 0, -2, -3))
-    assert (sign, norm.p, norm.q) == (1, 2, 3)
-    sign, norm = normalize_signs(IntegralParams(3, 2, 0, 0, 1))
-    assert (sign, norm.p, norm.q) == (1, 0, 1)
 
 
 def test_classical_anchors_exact():
@@ -133,6 +123,9 @@ def test_domain_error_names_constraint():
     with pytest.raises(DomainError) as excinfo:
         evaluate_integral(2, 3, 0, 1, 0)
     assert excinfo.value.constraint == "a >= b"
+    with pytest.raises(DomainError) as excinfo:
+        IntegralParams(3, 0, 0, 1, 0)
+    assert excinfo.value.constraint == "b >= 1"
 
 
 def test_b_below_two_requires_flag():
@@ -185,8 +178,6 @@ def test_case_evaluator_shortcircuits_zero_p():
 def test_parity_classification():
     assert IntegralParams(4, 2, 0, 1, 0).parity_case is ParityCase.SAME
     assert IntegralParams(5, 2, 0, 1, 0).parity_case is ParityCase.OPPOSITE
-    params = IntegralParams(5, 2, 3, 1, 0)
-    assert (params.s, params.t) == (1, 1)
 
 
 def test_desk_scale_powers_stay_exact():

@@ -166,7 +166,7 @@ def test_cancellation_removes_key():
 
 
 def test_zero_coefficients_are_dropped_on_construction():
-    assert ExactValue(0, {2: Fraction(0)}) == ExactValue.zero()
+    assert ExactValue(0, {2: Fraction(0)}) == ExactValue()
 
 
 def test_nonprime_log_key_rejected():
@@ -203,7 +203,7 @@ def test_subtraction_gives_zero(u):
 @pytest.mark.parametrize(
     "value,text",
     [
-        (ExactValue.zero(), "0"),
+        (ExactValue(), "0"),
         (ExactValue.pi_multiple(Fraction(1, 2)), "1/2*pi"),
         (ExactValue(log_coeffs={3: Fraction(3, 4)}), "3/4*ln(3)"),
         (ExactValue(log_coeffs={3: Fraction(-3, 4)}), "-3/4*ln(3)"),

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import sincint.identities as identities_module
 from sincint import (
     DomainError,
+    SweepRecord,
     boundary_identity_sum,
     derivative_expansion,
     identity_sweep,
@@ -48,6 +50,23 @@ def test_rejects_parity_mismatch():
 def test_rejects_small_a():
     with pytest.raises(DomainError):
         boundary_identity_sum(1, 0, 1, 0, 0)
+
+
+def test_rejects_negative_c_and_frequencies():
+    for args in [(4, -1, 1, 0, 0), (4, 0, -1, 0, 0), (4, 0, 1, -2, 0)]:
+        with pytest.raises(DomainError):
+            boundary_identity_sum(*args)
+
+
+def test_sweep_reports_a_failing_tuple(monkeypatch):
+    # A stand-in boundary value that is nonzero at h = 1: only the a = 3 tuples fail.
+    monkeypatch.setattr(identities_module, "_boundary_value", lambda weights, h: int(h == 1))
+    report = identity_sweep(3, 0, 1, 0)
+    assert report.checked == 4
+    assert not report.all_zero
+    assert report.failures == (SweepRecord(3, 0, 0, 0, 1), SweepRecord(3, 0, 1, 0, 1))
+    records = [json.loads(line) for line in report.to_json_lines().splitlines()]
+    assert [r["value_is_zero"] for r in records] == [True, True, False, False]
 
 
 def test_sweep_small_bounds_all_pass():

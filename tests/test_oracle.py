@@ -34,7 +34,7 @@ def test_to_decimal_log_value():
 
 
 def test_to_decimal_zero():
-    assert to_decimal(ExactValue.zero()) == 0.0
+    assert to_decimal(ExactValue()) == 0.0
 
 
 def test_to_decimal_scaling_stays_within_ulps():
@@ -125,6 +125,27 @@ def test_node_budget_refuses_before_the_fft(monkeypatch):
     with pytest.raises(QuadratureError, match="budget"):
         quadrature(IntegralParams(2, 2, 1, 99991, 99989), 1e-6)
     assert calls == []
+
+
+def test_node_budget_refuses_a_long_tail_before_head_sampling(monkeypatch):
+    # I(2, 2, 0, 1, 0) has 120 nodes a period and its tail needs 4 periods at
+    # 1e-6; a budget of two periods refuses the doubling to 4 before the head
+    # is sampled at all.
+    def no_sampling(*args):
+        raise AssertionError("the head was sampled")
+
+    monkeypatch.setattr(oracle_module, "_MAX_NODES", 240)
+    monkeypatch.setattr(oracle_module, "_sample_period", no_sampling)
+    with pytest.raises(QuadratureError, match="the head needs 480 evaluations, budget is 240"):
+        quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
+
+
+def test_certified_error_over_tolerance_is_refused(monkeypatch):
+    # A reduced bound that uses the whole reduced tolerance leaves no room for
+    # the rescaling's rounding, so the final check must refuse.
+    monkeypatch.setattr(oracle_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (1.0, tol))
+    with pytest.raises(QuadratureError, match="certified error .* exceeds requested tolerance"):
+        quadrature(IntegralParams(5, 3, 0, 2, 0), 1e-6)
 
 
 def test_quadrature_refuses_values_beyond_double_range():

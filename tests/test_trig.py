@@ -48,7 +48,7 @@ def test_sin_cubed_scaled_frequency():
 
 
 def test_cos_power_zero_is_one():
-    assert cos_power_expand(0, 7) == TrigPoly.constant(1)
+    assert cos_power_expand(0, 7) == TrigPoly([(TermKind.CONST, 0, 1)])
 
 
 def test_cos_identity():
@@ -68,12 +68,20 @@ def test_sin_power_requires_positive_exponent():
         sin_power_expand(-2, 1)
 
 
+def test_expansions_reject_negative_frequencies_and_cos_exponent():
+    for expand, exponent in [(sin_power_expand, 2), (cos_power_expand, 2)]:
+        with pytest.raises(DomainError):
+            expand(exponent, -1)
+    with pytest.raises(DomainError):
+        cos_power_expand(-1, 1)
+
+
 def test_zero_frequency_expansions_fold_to_exact_zero_or_one():
     # sin^a(0 * x) is identically 0; cos^c(0 * x) is identically 1.
     for a in range(1, 9):
         assert sin_power_expand(a, 0).is_zero
     for c in range(0, 9):
-        assert cos_power_expand(c, 0) == TrigPoly.constant(1)
+        assert cos_power_expand(c, 0) == TrigPoly([(TermKind.CONST, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +100,7 @@ def test_product_sin_sin_matches_power_expansion():
 
 
 def test_constant_absorption():
-    three = TrigPoly.constant(3)
+    three = TrigPoly([(TermKind.CONST, 0, 3)])
     poly = TrigPoly([(TermKind.SIN, 2, Fraction(5, 7)), (TermKind.COS, 4, -2)])
     assert trig_product(three, poly) == poly.scale(3)
 
@@ -103,7 +111,9 @@ def test_negative_frequency_normalization():
         [(TermKind.COS, 3, Fraction(2, 5))]
     )
     assert TrigPoly([(TermKind.SIN, 0, 7)]).is_zero
-    assert TrigPoly([(TermKind.COS, 0, 7)]) == TrigPoly.constant(7)
+    assert TrigPoly([(TermKind.COS, 0, 7)]) == TrigPoly([(TermKind.CONST, 0, 7)])
+    with pytest.raises(ValueError):
+        TrigPoly([(TermKind.CONST, 2, 7)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +154,7 @@ def test_product_pointwise_agreement():
 
 def test_sin_power_parity_shape():
     for a in range(1, 13):
-        kinds = sin_power_expand(a, 3).kinds()
+        kinds = {t.kind for t in sin_power_expand(a, 3)}
         if a % 2:
             assert kinds <= {TermKind.SIN}
         else:
@@ -154,7 +164,7 @@ def test_sin_power_parity_shape():
 def test_derivative_expansion_parity_shape():
     for a in range(1, 7):
         for h in range(0, 6):
-            kinds = derivative_expansion(a, 2, 2, 1, h).kinds()
+            kinds = {t.kind for t in derivative_expansion(a, 2, 2, 1, h)}
             if (a - h) % 2:
                 assert kinds <= {TermKind.SIN}
             else:
@@ -180,6 +190,8 @@ def test_derivative_expansion_rejects_bad_domain():
         derivative_expansion(2, -1, 1, 0, 1)
     with pytest.raises(DomainError):
         derivative_expansion(2, 0, 1, 0, -1)
+    with pytest.raises(DomainError):
+        derivative_expansion(2, 0, -1, 0, 1)
 
 
 def test_order_zero_equals_product_expansion():
