@@ -25,10 +25,6 @@ def main():
     report = identity_sweep(8, 3, 3, 3)
     print(f"  {report.checked} tuples checked, {len(report.failures)} failures")
 
-    print("\nFirst records as JSON lines (the sweep's serialization format):")
-    for line in report.to_json_lines().splitlines()[:5]:
-        print(f"  {line}")
-
 
 if __name__ == "__main__":
     main()

@@ -11,7 +11,6 @@ against an independent adaptive quadrature of the raw integrand.
 from .evaluator import evaluate, evaluate_integral
 from .exact import (
     ExactValue,
-    is_prime,
     parse_exact_value,
     prime_factorization,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "evaluate",
     "evaluate_integral",
     "identity_sweep",
-    "is_prime",
     "parse_exact_value",
     "prime_factorization",
     "product_expansion",

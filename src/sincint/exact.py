@@ -23,24 +23,9 @@ RationalLike = Union[Fraction, int]
 
 __all__ = [
     "ExactValue",
-    "is_prime",
     "parse_exact_value",
     "prime_factorization",
 ]
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test (basis primes here stay small)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_factorization(m: int) -> dict[int, int]:
@@ -81,14 +66,10 @@ class ExactValue:
             coeff = Fraction(self.log_coeffs[prime])
             if coeff == 0:
                 continue
-            if not is_prime(prime):
+            if prime < 2 or prime_factorization(prime) != {prime: 1}:
                 raise ValueError(f"log basis entries must be prime, got {prime}")
             cleaned[prime] = coeff
         object.__setattr__(self, "log_coeffs", cleaned)
-
-    @classmethod
-    def pi_multiple(cls, coeff: RationalLike) -> "ExactValue":
-        return cls(pi_coeff=Fraction(coeff))
 
     @property
     def is_zero(self) -> bool:

@@ -12,9 +12,7 @@ against the independent TrigPoly product-to-sum route by the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterator
 
 from .params import DomainError
 from .trig import spectrum
@@ -61,13 +59,9 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of an exhaustive boundary-identity sweep.
+    """Outcome of an exhaustive boundary-identity sweep: the number of tuples
+    checked and, in sweep order, the tuples whose sum is not zero."""
 
-    Holds the sweep bounds, the number of tuples checked and the tuples
-    whose sum is not zero; the per-tuple lines are regenerated on demand.
-    """
-
-    bounds: tuple[int, int, int, int]
     checked: int
     failures: tuple[SweepRecord, ...]
 
@@ -75,46 +69,26 @@ class SweepReport:
     def all_zero(self) -> bool:
         return not self.failures
 
-    def to_json_lines(self) -> str:
-        """One JSON object per checked tuple, newline separated."""
-        failed = {(r.a, r.c, r.p, r.q, r.h) for r in self.failures}
-        return "\n".join(
-            json.dumps(
-                {"a": a, "c": c, "p": p, "q": q, "h": h,
-                 "value_is_zero": (a, c, p, q, h) not in failed}
-            )
-            for a, c, p, q, h in _sweep_tuples(*self.bounds)
-        )
-
-
-def _sweep_tuples(max_a: int, max_c: int, max_p: int, max_q: int) -> Iterator[tuple[int, int, int, int, int]]:
-    for a in range(2, max_a + 1):
-        for c in range(0, max_c + 1):
-            for p in range(0, max_p + 1):
-                for q in range(0, max_q + 1):
-                    for h in range(a % 2, a - 1, 2):
-                        yield a, c, p, q, h
-
 
 def identity_sweep(max_a: int, max_c: int, max_p: int, max_q: int) -> SweepReport:
     """Check the boundary sum on every valid tuple within inclusive bounds.
 
     Ranges: 2 <= a <= max_a, 0 <= c <= max_c, 0 <= p <= max_p,
-    0 <= q <= max_q, and h over {h : 0 <= h <= a - 2, h = a (mod 2)}.
-    p = q = 0 tuples are included; they exercise the fully degenerate path.
-    The spectrum is built once per (a, c, p, q) and reused for every h.
+    0 <= q <= max_q, and h over {h : 0 <= h <= a - 2, h = a (mod 2)}, in
+    that nesting order with h innermost.  p = q = 0 tuples are included;
+    they exercise the fully degenerate path.  The spectrum is built once per
+    (a, c, p, q) and reused for every h.
     """
     if max_a < 2 or max_c < 0 or max_p < 0 or max_q < 0:
         raise ValueError("sweep bounds must cover at least one valid tuple")
-    bounds = (max_a, max_c, max_p, max_q)
     checked = 0
     failures = []
-    built_for = None
-    for a, c, p, q, h in _sweep_tuples(*bounds):
-        if built_for != (a, c, p, q):
-            built_for = (a, c, p, q)
-            weights = spectrum(a, c, p, q)
-        checked += 1
-        if _boundary_value(weights, h):
-            failures.append(SweepRecord(a, c, p, q, h))
-    return SweepReport(bounds, checked, tuple(failures))
+    for a in range(2, max_a + 1):
+        hs = range(a % 2, a - 1, 2)
+        for c in range(max_c + 1):
+            for p in range(max_p + 1):
+                for q in range(max_q + 1):
+                    weights = spectrum(a, c, p, q)
+                    checked += len(hs)
+                    failures += (SweepRecord(a, c, p, q, h) for h in hs if _boundary_value(weights, h))
+    return SweepReport(checked, tuple(failures))

@@ -40,9 +40,9 @@ def _grid_params():
 
 
 def test_criterion_1_classical_anchors():
-    assert evaluate_integral(2, 2, 0, 1, 0) == ExactValue.pi_multiple(Fraction(1, 2))
-    assert evaluate_integral(4, 4, 0, 1, 0) == ExactValue.pi_multiple(Fraction(1, 3))
-    assert evaluate_integral(3, 3, 0, 1, 0) == ExactValue.pi_multiple(Fraction(3, 8))
+    assert evaluate_integral(2, 2, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 2))
+    assert evaluate_integral(4, 4, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 3))
+    assert evaluate_integral(3, 3, 0, 1, 0) == ExactValue(pi_coeff=Fraction(3, 8))
     _report(1, "classical anchors, exact equality")
 
 
@@ -125,11 +125,9 @@ def test_criterion_6_expansion_equivalence():
 
 
 def test_criterion_7_b1_extension():
-    assert evaluate_integral(1, 1, 0, 1, 0, allow_b1=True) == ExactValue.pi_multiple(
-        Fraction(1, 2)
-    )
+    assert evaluate_integral(1, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(1, 2))
     value = evaluate_integral(3, 1, 0, 1, 0, allow_b1=True)
-    assert value == ExactValue.pi_multiple(Fraction(1, 4))
+    assert value == ExactValue(pi_coeff=Fraction(1, 4))
     estimate, bound = quadrature(IntegralParams(3, 1, 0, 1, 0), GRID_TOL, allow_b1=True)
     assert abs(to_decimal(value) - estimate) <= 1e-5
     _report(7, "flagged b = 1 extension matches the oracle")

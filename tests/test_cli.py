@@ -77,9 +77,10 @@ def test_eval_b1_needs_flag(capsys):
 
 
 def test_malformed_flags_exit_usage(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["eval", "-a", "x", "-b", "2", "-c", "0", "-p", "1", "-q", "0"])
-    assert excinfo.value.code == 1
+    for argv in (["eval", "-a", "x", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], ["selftest", "--max-a", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 1
 
 
 def test_verify_pass_json(capsys):
@@ -124,8 +125,6 @@ def test_invalid_tol_flag_is_a_usage_error(command, tol, capsys):
     argv = [command, "--tol", tol]
     if command == "verify":
         argv += ["-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"]
-    else:
-        argv += ["--max-a", "2", "--max-c", "0", "--max-p", "1", "--max-q", "0"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
@@ -173,7 +172,7 @@ def test_batch_json_out_of_double_range_is_null(tmp_path, capsys):
 def test_verify_report_json_out_of_double_range_is_null():
     report = VerifyReport(
         params=IntegralParams(300, 300, 0, 1000, 0),
-        exact=ExactValue.pi_multiple(10**400),
+        exact=ExactValue(pi_coeff=10**400),
         exact_decimal=math.inf,
         oracle_estimate=None,
         oracle_error_bound=None,
@@ -271,22 +270,13 @@ def test_exact_string_round_trip_through_cli_records(tmp_path, capsys):
 
 
 def test_selftest_small_bounds(capsys):
-    code, out, _ = run_cli(
-        ["selftest", "--max-a", "4", "--max-c", "2", "--max-p", "2", "--max-q", "2",
-         "--grid-max-a", "4", "--grid-max-c", "1", "--grid-max-p", "2", "--grid-max-q", "1"],
-        capsys,
-    )
+    code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
-    assert "identity sweep" in out
-    assert "0 failures" in out
+    assert out == "identity sweep: 44800 tuples, 0 failures\noracle grid: 270 cases, 0 failures\n"
 
 
 # 3000^3 * pi/3 needs relative precision 3.5e-17 to meet 1e-6: below double rounding.
 UNVERIFIABLE_ARGS = ["-a", "4", "-b", "4", "-c", "0", "-p", "3000", "-q", "0"]
-SMALL_SELFTEST = [
-    "selftest", "--max-a", "2", "--max-c", "0", "--max-p", "1", "--max-q", "0",
-    "--grid-max-a", "2", "--grid-max-c", "0", "--grid-max-p", "1", "--grid-max-q", "0",
-]
 
 
 def _disagreeing(real_verify):
@@ -295,7 +285,7 @@ def _disagreeing(real_verify):
         report = real_verify(params, tol, **kwargs)
         return VerifyReport(
             params=report.params,
-            exact=ExactValue.pi_multiple(1),
+            exact=ExactValue(pi_coeff=1),
             exact_decimal=report.exact_decimal + 1.0,
             oracle_estimate=report.oracle_estimate,
             oracle_error_bound=report.oracle_error_bound,
@@ -345,16 +335,16 @@ def test_verify_disagreement_exits_4(capsys, monkeypatch):
 
 def test_selftest_names_a_failing_identity_tuple(capsys, monkeypatch):
     monkeypatch.setattr(identities, "_boundary_value", lambda weights, h: int(h == 1))
-    code, out, _ = run_cli(["selftest", "--max-a", "3", "--max-c", "0", "--max-p", "1", "--max-q", "0"], capsys)
+    code, out, _ = run_cli(["selftest"], capsys)
     assert code == 4
-    assert "identity sweep: 4 tuples, 2 failures" in out
+    assert "identity sweep: 44800 tuples, 4032 failures" in out
     assert "FIRST FAILURE: identity tuple a=3 c=0 p=0 q=0 h=1" in out
 
 
 def test_selftest_reports_injected_oracle_fault(capsys, monkeypatch):
     # Harness sanity: a corrupted evaluator must drive the selftest to exit 4.
     monkeypatch.setattr(cli, "verify", _disagreeing(cli.verify))
-    code, out, _ = run_cli(SMALL_SELFTEST, capsys)
+    code, out, _ = run_cli(["selftest"], capsys)
     assert code == 4
     assert "FIRST FAILURE (disagreement)" in out
 
@@ -364,7 +354,7 @@ def test_selftest_names_an_unverifiable_first_failure(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "verify", lambda params, tol, **kwargs: real_verify(IntegralParams(4, 4, 0, 3000, 0), tol)
     )
-    code, out, _ = run_cli(SMALL_SELFTEST, capsys)
+    code, out, _ = run_cli(["selftest"], capsys)
     assert code == 4
     assert "FIRST FAILURE (unverifiable)" in out
 

@@ -19,9 +19,9 @@ from sincint import (
 
 
 def test_classical_anchors_exact():
-    assert evaluate_integral(2, 2, 0, 1, 0) == ExactValue.pi_multiple(Fraction(1, 2))
-    assert evaluate_integral(4, 4, 0, 1, 0) == ExactValue.pi_multiple(Fraction(1, 3))
-    assert evaluate_integral(3, 3, 0, 1, 0) == ExactValue.pi_multiple(Fraction(3, 8))
+    assert evaluate_integral(2, 2, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 2))
+    assert evaluate_integral(4, 4, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 3))
+    assert evaluate_integral(3, 3, 0, 1, 0) == ExactValue(pi_coeff=Fraction(3, 8))
 
 
 def test_log_case_base_value():
@@ -38,7 +38,7 @@ def test_log_case_zero_frequency_shortcircuit():
 
 def test_mixed_product_pi_value():
     # sin^2 x cos^2 x = sin^2(2x)/4, so the integral is a quarter of 2 * pi/2.
-    assert evaluate_integral(2, 2, 2, 1, 1) == ExactValue.pi_multiple(Fraction(1, 4))
+    assert evaluate_integral(2, 2, 2, 1, 1) == ExactValue(pi_coeff=Fraction(1, 4))
 
 
 def test_mixed_product_log_value():
@@ -50,7 +50,7 @@ def test_even_a_over_x_squared_pinned_by_oracle():
     # Brute instantiation of the same-parity sum gives pi/4 here, and the
     # independent quadrature agrees; pinned as a regression value.
     value = evaluate_integral(4, 2, 0, 1, 0)
-    assert value == ExactValue.pi_multiple(Fraction(1, 4))
+    assert value == ExactValue(pi_coeff=Fraction(1, 4))
     estimate, bound = quadrature(IntegralParams(4, 2, 0, 1, 0), 1e-6)
     assert abs(to_decimal(value) - estimate) <= 1e-6 + bound
 
@@ -150,9 +150,9 @@ def test_non_integer_rejected():
 
 
 def test_b_one_extension_values():
-    assert evaluate_integral(1, 1, 0, 1, 0, allow_b1=True) == ExactValue.pi_multiple(Fraction(1, 2))
-    assert evaluate_integral(3, 1, 0, 1, 0, allow_b1=True) == ExactValue.pi_multiple(Fraction(1, 4))
-    assert evaluate_integral(5, 1, 0, 1, 0, allow_b1=True) == ExactValue.pi_multiple(Fraction(3, 16))
+    assert evaluate_integral(1, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(1, 2))
+    assert evaluate_integral(3, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(1, 4))
+    assert evaluate_integral(5, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(3, 16))
 
 
 def test_evaluate_normalizes_frequency_signs():

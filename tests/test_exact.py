@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sincint import (
     ExactValue,
     evaluate_integral,
-    is_prime,
     parse_exact_value,
     prime_factorization,
     spectrum,
@@ -106,8 +105,12 @@ def test_factorization_rejects_nonpositive():
 
 
 @given(st.integers(min_value=-3, max_value=10000))
-def test_is_prime_matches_brute_force(n):
-    assert is_prime(n) == brute_is_prime(n)
+def test_log_basis_accepts_exactly_the_primes(n):
+    if brute_is_prime(n):
+        assert ExactValue(log_coeffs={n: 1}).log_coeffs == {n: 1}
+    else:
+        with pytest.raises(ValueError, match=f"log basis entries must be prime, got {n}$"):
+            ExactValue(log_coeffs={n: 1})
 
 
 def test_log_of_one_is_zero():
@@ -148,8 +151,8 @@ def test_log_homomorphism(m, n):
 
 
 def test_add_collects_pi():
-    half = ExactValue.pi_multiple(Fraction(1, 2))
-    assert half + half == ExactValue.pi_multiple(1)
+    half = ExactValue(pi_coeff=Fraction(1, 2))
+    assert half + half == ExactValue(pi_coeff=1)
 
 
 def test_scale_example():
@@ -204,7 +207,7 @@ def test_subtraction_gives_zero(u):
     "value,text",
     [
         (ExactValue(), "0"),
-        (ExactValue.pi_multiple(Fraction(1, 2)), "1/2*pi"),
+        (ExactValue(pi_coeff=Fraction(1, 2)), "1/2*pi"),
         (ExactValue(log_coeffs={3: Fraction(3, 4)}), "3/4*ln(3)"),
         (ExactValue(log_coeffs={3: Fraction(-3, 4)}), "-3/4*ln(3)"),
         (

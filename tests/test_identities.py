@@ -1,7 +1,5 @@
 """Boundary-identity tests: exact zero sums and their cross-checks."""
 
-import json
-
 import pytest
 
 import sincint.identities as identities_module
@@ -65,8 +63,6 @@ def test_sweep_reports_a_failing_tuple(monkeypatch):
     assert report.checked == 4
     assert not report.all_zero
     assert report.failures == (SweepRecord(3, 0, 0, 0, 1), SweepRecord(3, 0, 1, 0, 1))
-    records = [json.loads(line) for line in report.to_json_lines().splitlines()]
-    assert [r["value_is_zero"] for r in records] == [True, True, False, False]
 
 
 def test_sweep_small_bounds_all_pass():
@@ -75,37 +71,40 @@ def test_sweep_small_bounds_all_pass():
     assert report.all_zero
 
 
-def swept_tuples(report):
-    records = [json.loads(line) for line in report.to_json_lines().splitlines()]
-    return {(r["a"], r["c"], r["p"], r["q"], r["h"]) for r in records}
+def swept_tuples(monkeypatch, *bounds):
+    """Every tuple the sweep checks, in order: a boundary value that never
+    vanishes makes each one a failure."""
+    monkeypatch.setattr(identities_module, "_boundary_value", lambda weights, h: 1)
+    report = identity_sweep(*bounds)
+    tuples = [(r.a, r.c, r.p, r.q, r.h) for r in report.failures]
+    assert len(tuples) == report.checked
+    return tuples
 
 
-def test_sweep_enumeration_contract():
+def test_sweep_enumeration_contract(monkeypatch):
     report = identity_sweep(2, 0, 1, 0)
-    assert swept_tuples(report) == {(2, 0, 0, 0, 0), (2, 0, 1, 0, 0)}
     assert report.checked == 2
     assert report.all_zero
+    assert swept_tuples(monkeypatch, 4, 1, 1, 1) == [
+        (2, 0, 0, 0, 0), (2, 0, 0, 1, 0), (2, 0, 1, 0, 0), (2, 0, 1, 1, 0),
+        (2, 1, 0, 0, 0), (2, 1, 0, 1, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 0),
+        (3, 0, 0, 0, 1), (3, 0, 0, 1, 1), (3, 0, 1, 0, 1), (3, 0, 1, 1, 1),
+        (3, 1, 0, 0, 1), (3, 1, 0, 1, 1), (3, 1, 1, 0, 1), (3, 1, 1, 1, 1),
+        (4, 0, 0, 0, 0), (4, 0, 0, 0, 2), (4, 0, 0, 1, 0), (4, 0, 0, 1, 2),
+        (4, 0, 1, 0, 0), (4, 0, 1, 0, 2), (4, 0, 1, 1, 0), (4, 0, 1, 1, 2),
+        (4, 1, 0, 0, 0), (4, 1, 0, 0, 2), (4, 1, 0, 1, 0), (4, 1, 0, 1, 2),
+        (4, 1, 1, 0, 0), (4, 1, 1, 0, 2), (4, 1, 1, 1, 0), (4, 1, 1, 1, 2),
+    ]
 
 
-def test_sweep_covers_all_four_parity_cases():
-    report = identity_sweep(5, 1, 1, 1)
-    combos = {(a % 2, c % 2) for a, c, _, _, _ in swept_tuples(report)}
+def test_sweep_covers_all_four_parity_cases(monkeypatch):
+    combos = {(a % 2, c % 2) for a, c, _, _, _ in swept_tuples(monkeypatch, 5, 1, 1, 1)}
     assert combos == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_sweep_rejects_degenerate_bounds():
     with pytest.raises(ValueError):
         identity_sweep(1, 0, 0, 0)
-
-
-def test_sweep_json_lines_schema():
-    report = identity_sweep(3, 1, 1, 1)
-    lines = report.to_json_lines().splitlines()
-    assert len(lines) == report.checked
-    for line in lines:
-        record = json.loads(line)
-        assert set(record) == {"a", "c", "p", "q", "h", "value_is_zero"}
-        assert record["value_is_zero"] is True
 
 
 def test_consistency_with_derivative_expansion_at_pi():

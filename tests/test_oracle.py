@@ -25,7 +25,7 @@ THREE_QUARTER_LN3 = 0.8239592165010823  # (3/4) ln 3 at 50-digit working precisi
 
 
 def test_to_decimal_pi_half():
-    assert to_decimal(ExactValue.pi_multiple(Fraction(1, 2))) == PI_HALF
+    assert to_decimal(ExactValue(pi_coeff=Fraction(1, 2))) == PI_HALF
 
 
 def test_to_decimal_log_value():
