@@ -1,7 +1,7 @@
 """Cross-validation of the closed forms against direct numerical quadrature.
 
 The oracle never sees the expansions: it integrates the raw integrand with
-adaptive Gauss-Kronrod panels plus a periodic-mean tail correction, and
+one fixed Gauss-Kronrod pass plus a periodic-mean tail correction, and
 returns a certified error bound alongside the estimate.  Agreement within
 tolerance on both parity cases is the end-to-end check of the evaluator.
 """

@@ -5,7 +5,7 @@ integral has a closed form: a rational multiple of pi when a and b share
 parity, and a rational combination of logarithms of primes otherwise.  This
 package computes those closed forms in exact arithmetic, certifies the
 combinatorial cancellation they rely on, and cross-checks every value
-against an independent adaptive quadrature of the raw integrand.
+against an independent fixed-pass quadrature of the raw integrand.
 """
 
 from .evaluator import evaluate, evaluate_integral

@@ -142,7 +142,7 @@ def cmd_batch(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     any_failed = False

@@ -1,12 +1,12 @@
 """Finite trigonometric polynomials with exact rational coefficients.
 
 Powers and products of sin(px), cos(qx) expand into sums of const, sin(kx)
-and cos(kx) terms with integer frequencies; this module implements those
-power-reduction expansions, exact product-to-sum multiplication, and exact
-term-wise differentiation.  It also holds the one integer frequency spectrum
-of sin^a(px) cos^c(qx) that the closed forms, the boundary identity and the
-direct n-th derivative are all reductions of; the product-to-sum route is
-the independent reference the tests compare that spectrum against.
+and cos(kx) terms with integer frequencies; this module expands them by exact
+product-to-sum multiplication alone and differentiates them term-wise.  It
+also holds the integer frequency spectrum of sin^a(px) cos^c(qx), the only
+binomial power reduction in the package, that the closed forms, the boundary
+identity and the direct n-th derivative all reduce; the product-to-sum route
+shares no formula with it and is the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ class TermKind(Enum):
     COS = 2
 
 
+_CONST_KEY = (TermKind.COS, 0)  # a constant is stored as cos(0x) and reported as CONST
+
+
 @dataclass(frozen=True)
 class TrigTerm:
     """One summand: coeff * {1 | sin(frequency*x) | cos(frequency*x)}.
@@ -63,18 +66,17 @@ class TrigPoly:
             c = Fraction(coeff)
             if c == 0:
                 continue
+            if kind is TermKind.CONST:
+                if frequency != 0:
+                    raise ValueError("CONST terms must have frequency 0")
+                kind = TermKind.COS
             if kind is TermKind.SIN:
                 if frequency == 0:
                     continue
                 if frequency < 0:
                     frequency, c = -frequency, -c
-            elif kind is TermKind.COS:
-                if frequency < 0:
-                    frequency = -frequency
-                if frequency == 0:
-                    kind = TermKind.CONST
-            elif frequency != 0:
-                raise ValueError("CONST terms must have frequency 0")
+            elif frequency < 0:
+                frequency = -frequency
             key = (kind, frequency)
             total = coeffs.get(key, Fraction(0)) + c
             if total == 0:
@@ -85,11 +87,12 @@ class TrigPoly:
 
     @property
     def terms(self) -> tuple[TrigTerm, ...]:
-        keys = sorted(self._coeffs, key=lambda k: (k[0].value, k[1]))
-        return tuple(TrigTerm(kind, freq, self._coeffs[(kind, freq)]) for kind, freq in keys)
+        keys = sorted(self._coeffs, key=lambda k: (k != _CONST_KEY, k[0].value, k[1]))
+        return tuple(TrigTerm(TermKind.CONST if k == _CONST_KEY else k[0], k[1], self._coeffs[k]) for k in keys)
 
     def coeff(self, kind: TermKind, frequency: int = 0) -> Fraction:
-        return self._coeffs.get((kind, frequency), Fraction(0))
+        key = _CONST_KEY if kind is TermKind.CONST and frequency == 0 else (kind, frequency)
+        return self._coeffs.get(key, Fraction(0))
 
     @property
     def is_zero(self) -> bool:
@@ -130,9 +133,7 @@ class TrigPoly:
         total = 0.0
         for (kind, freq), coeff in self._coeffs.items():
             w = float(coeff)
-            if kind is TermKind.CONST:
-                total += w
-            elif kind is TermKind.SIN:
+            if kind is TermKind.SIN:
                 total += w * math.sin(freq * x)
             else:
                 total += w * math.cos(freq * x)
@@ -142,35 +143,21 @@ class TrigPoly:
         """Exact value at x = pi, using cos(k*pi) = (-1)^k."""
         total = Fraction(0)
         for (kind, freq), coeff in self._coeffs.items():
-            if kind is TermKind.CONST:
-                total += coeff
-            elif kind is TermKind.COS:
+            if kind is TermKind.COS:
                 total += -coeff if freq % 2 else coeff
         return total
 
 
 def sin_power_expand(a: int, p: int) -> TrigPoly:
-    """Expand sin^a(px) into multiple-angle form.
-
-    Odd a gives pure sine terms, even a a constant plus cosines, with
-    frequencies (a-2i)p.  p = 0 collapses every frequency to zero and the
-    folded constant cancels to the exact value sin^a(0) = 0.
-    """
+    """Expand sin^a(px) into multiple-angle form; p = 0 gives the exact zero."""
     if a < 1:
         raise DomainError("a >= 1", f"sin power expansion needs a >= 1, got {a}")
     if p < 0:
         raise DomainError("p >= 0", "expansion frequencies must be non-negative")
-    s = a % 2
-    items: list[tuple[TermKind, int, Fraction]] = []
-    if s == 0:
-        items.append((TermKind.CONST, 0, Fraction(math.comb(a, a // 2), 2**a)))
-    kind = TermKind.SIN if s else TermKind.COS
-    half = (a // 2) % 2
-    for i in range((a - 1) // 2 + 1):
-        sign = -1 if (half + i) % 2 else 1  # (-1)^(floor(a/2) - i)
-        coeff = Fraction(2 * sign * math.comb(a, i), 2**a)
-        items.append((kind, (a - 2 * i) * p, coeff))
-    return TrigPoly(items)
+    power = TrigPoly([(TermKind.CONST, 0, 1)])
+    for _ in range(a):
+        power = trig_product(power, TrigPoly([(TermKind.SIN, p, 1)]))
+    return power
 
 
 def cos_power_expand(c: int, q: int) -> TrigPoly:
@@ -179,13 +166,10 @@ def cos_power_expand(c: int, q: int) -> TrigPoly:
         raise DomainError("c >= 0", f"cos power expansion needs c >= 0, got {c}")
     if q < 0:
         raise DomainError("q >= 0", "expansion frequencies must be non-negative")
-    t = c % 2
-    items: list[tuple[TermKind, int, Fraction]] = []
-    if t == 0:
-        items.append((TermKind.CONST, 0, Fraction(math.comb(c, c // 2), 2**c)))
-    for i in range((c - 1) // 2 + 1):
-        items.append((TermKind.COS, (c - 2 * i) * q, Fraction(2 * math.comb(c, i), 2**c)))
-    return TrigPoly(items)
+    power = TrigPoly([(TermKind.CONST, 0, 1)])
+    for _ in range(c):
+        power = trig_product(power, TrigPoly([(TermKind.COS, q, 1)]))
+    return power
 
 
 def trig_product(u: TrigPoly, v: TrigPoly) -> TrigPoly:
@@ -198,11 +182,7 @@ def trig_product(u: TrigPoly, v: TrigPoly) -> TrigPoly:
     for (k1, f1), c1 in u._coeffs.items():
         for (k2, f2), c2 in v._coeffs.items():
             c = c1 * c2
-            if k1 is TermKind.CONST:
-                items.append((k2, f2, c))
-            elif k2 is TermKind.CONST:
-                items.append((k1, f1, c))
-            elif k1 is TermKind.SIN and k2 is TermKind.SIN:
+            if k1 is TermKind.SIN and k2 is TermKind.SIN:
                 half = c / 2
                 items.append((TermKind.COS, f1 - f2, half))
                 items.append((TermKind.COS, f1 + f2, -half))

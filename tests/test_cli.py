@@ -238,10 +238,16 @@ def test_batch_plain_reports_every_status(tmp_path, capsys):
     ]
 
 
-def test_batch_unreadable_file(capsys):
+def test_batch_unreadable_file(tmp_path, capsys):
     code, _, err = run_cli(["batch", "/nonexistent/input.txt"], capsys)
     assert code == 1
     assert "cannot read" in err
+    not_utf8 = tmp_path / "bad.txt"
+    not_utf8.write_bytes(b"\xff\xfe2 2 0 1 0\n")
+    code, out, err = run_cli(["batch", str(not_utf8)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot read {not_utf8}: ")
 
 
 def test_batch_deterministic_output(tmp_path, capsys):

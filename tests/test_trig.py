@@ -103,6 +103,29 @@ def test_constant_absorption():
     three = TrigPoly([(TermKind.CONST, 0, 3)])
     poly = TrigPoly([(TermKind.SIN, 2, Fraction(5, 7)), (TermKind.COS, 4, -2)])
     assert trig_product(three, poly) == poly.scale(3)
+    assert trig_product(poly, three) == poly.scale(3)
+    assert trig_product(TrigPoly([(TermKind.COS, 0, 3)]), poly) == poly.scale(3)
+    assert three.derivative().is_zero
+    assert three.value_at_pi() == 3
+
+
+def test_term_order_and_repr():
+    # Equality ignores order, but .terms and repr list CONST first, then SIN,
+    # then COS, each by ascending frequency.
+    scrambled = TrigPoly([
+        (TermKind.COS, 3, 2), (TermKind.SIN, 5, -1), (TermKind.CONST, 0, Fraction(1, 3)),
+        (TermKind.COS, 1, 4), (TermKind.SIN, 2, Fraction(1, 2)),
+    ])
+    assert [(t.kind, t.frequency, t.coeff) for t in scrambled.terms] == [
+        (TermKind.CONST, 0, Fraction(1, 3)), (TermKind.SIN, 2, Fraction(1, 2)),
+        (TermKind.SIN, 5, -1), (TermKind.COS, 1, 4), (TermKind.COS, 3, 2),
+    ]
+    assert repr(scrambled) == "TrigPoly(const*1/3, sin(2)*1/2, sin(5)*-1, cos(1)*4, cos(3)*2)"
+    squared = sin_power_expand(2, 1)
+    assert [(t.kind, t.frequency, t.coeff) for t in squared.terms] == [
+        (TermKind.CONST, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2)),
+    ]
+    assert repr(squared) == "TrigPoly(const*1/2, cos(2)*-1/2)"
 
 
 def test_negative_frequency_normalization():
