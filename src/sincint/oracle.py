@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .evaluator import evaluate
 from .exact import ExactValue
@@ -69,6 +69,12 @@ _PERIOD = 2.0 * math.pi
 _LEVELS = 4  # antiderivative depth of the tail telescope
 _MAX_NODES = 6_000_000  # integrand evaluations for the whole head
 _EPS = float(np.finfo(float).eps)
+_PREC = libmp.dps_to_prec(WORKING_DIGITS)
+_RND = libmp.round_nearest
+_PI = libmp.mpf_pi(_PREC, _RND)
+# ln(rho) at the working precision, filled on first use: one entry of about
+# 150 bytes per distinct prime rendered in this process.
+_LN: dict[int, tuple] = {}
 
 
 class QuadratureError(RuntimeError):
@@ -78,20 +84,28 @@ class QuadratureError(RuntimeError):
 def to_decimal(value: ExactValue) -> float:
     """Render an ExactValue to a double using WORKING_DIGITS-precision constants.
 
-    pi and the ln(rho) are evaluated at the working precision (50 digits), so
-    the returned double is within 1 ulp of the true value.
+    Each term coeff * pi or coeff * ln(rho) is rounded to the working
+    precision (50 digits) and the terms are summed there, with no error
+    control: a value whose terms cancel beyond 50 digits, as large-a log
+    values do, is rendered wrong (ROADMAP item 1).  The roundings are those
+    of mpmath's mpf arithmetic under workdps(WORKING_DIGITS).
     """
-    with mpmath.workdps(WORKING_DIGITS):
-        total = mpmath.mpf(0)
-        if value.pi_coeff:
-            total += _to_mpf(value.pi_coeff) * mpmath.pi
-        for prime, coeff in value.log_coeffs.items():
-            total += _to_mpf(coeff) * mpmath.log(prime)
-        return float(total)
+    total = libmp.fzero
+    if value.pi_coeff:
+        total = _add_term(total, value.pi_coeff, _PI)
+    for prime, coeff in value.log_coeffs.items():
+        ln = _LN.get(prime)
+        if ln is None:
+            ln = _LN[prime] = libmp.mpf_log(libmp.from_int(prime), _PREC, _RND)
+        total = _add_term(total, coeff, ln)
+    return libmp.to_float(total, rnd=_RND)
 
 
-def _to_mpf(r: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(r.numerator) / r.denominator
+def _add_term(total: tuple, coeff: Fraction, constant: tuple) -> tuple:
+    term = libmp.mpf_pos(libmp.from_int(coeff.numerator), _PREC, _RND)
+    term = libmp.mpf_div(term, libmp.from_int(coeff.denominator), _PREC, _RND)
+    term = libmp.mpf_mul(term, constant, _PREC, _RND)
+    return libmp.mpf_add(total, term, _PREC, _RND)
 
 
 # Gauss-Kronrod 15(7) abscissae and weights (positive half, descending).

@@ -63,7 +63,7 @@ class TrigPoly:
     def __init__(self, terms: Iterable[tuple[TermKind, int, RationalLike]] = ()):
         coeffs: dict[tuple[TermKind, int], Fraction] = {}
         for kind, frequency, coeff in terms:
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c == 0:
                 continue
             if kind is TermKind.CONST:
@@ -78,11 +78,12 @@ class TrigPoly:
             elif frequency < 0:
                 frequency = -frequency
             key = (kind, frequency)
-            total = coeffs.get(key, Fraction(0)) + c
-            if total == 0:
-                coeffs.pop(key, None)
-            else:
+            total = coeffs.get(key)
+            total = c if total is None else total + c
+            if total:
                 coeffs[key] = total
+            else:
+                del coeffs[key]
         self._coeffs = coeffs
 
     @property

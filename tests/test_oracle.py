@@ -1,18 +1,22 @@
 """Oracle tests: decimal rendering and direct quadrature of the integrand."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import sincint.oracle as oracle_module
 from sincint import (
+    DomainError,
     ExactValue,
     IntegralParams,
     QuadratureError,
     TermKind,
     evaluate,
+    evaluate_integral,
     product_expansion,
     quadrature,
     to_decimal,
@@ -43,6 +47,64 @@ def test_to_decimal_scaling_stays_within_ulps():
         scaled = to_decimal(value.scale(factor))
         direct = float(factor) * to_decimal(value)
         assert abs(scaled - direct) <= 4 * math.ulp(max(abs(scaled), abs(direct)))
+
+
+def _mpf_route(value: ExactValue) -> float:
+    """to_decimal as written with mpmath's mpf objects at 50 digits."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        if value.pi_coeff:
+            total += mpmath.mpf(value.pi_coeff.numerator) / value.pi_coeff.denominator * mpmath.pi
+        for prime, coeff in value.log_coeffs.items():
+            total += mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.log(prime)
+        return float(total)
+
+
+def _seeded_values(seed, count, draw):
+    rng = random.Random(seed)
+    values = []
+    while len(values) < count:
+        try:
+            values.append(evaluate_integral(*draw(rng)))
+        except DomainError:
+            continue
+    return values
+
+
+def _small_case(rng):
+    a = rng.randint(2, 10)
+    return a, rng.randint(2, a), rng.randint(0, 4), rng.randint(-5, 5), rng.randint(-5, 5)
+
+
+def _large_log_case(rng):
+    a = rng.randint(40, 200)
+    b = rng.randrange(3 - a % 2, a, 2)  # a - b odd: a log value
+    return a, b, rng.randint(0, 50), rng.randint(-13, 13), rng.randint(-13, 13)
+
+
+def test_to_decimal_is_bit_identical_to_the_mpf_route():
+    big = 10**400
+    values = [
+        *_seeded_values(3, 300, _small_case),
+        *_seeded_values(5, 12, _large_log_case),
+        evaluate_integral(200, 101, 50, 13, 11),
+        ExactValue(),
+        *(ExactValue(pi_coeff=Fraction(n, d)) for n, d in ((1, 2), (-3, 8), (5, 1), (1, 10**30))),
+        ExactValue(pi_coeff=Fraction(big)),
+        ExactValue(pi_coeff=Fraction(-big)),
+        ExactValue(log_coeffs={2: Fraction(big), 3: Fraction(-big)}),
+    ]
+    mismatches = [v for v in values if repr(to_decimal(v)) != repr(_mpf_route(v))]
+    assert not mismatches
+    assert [to_decimal(v) for v in values[-3:]] == [math.inf, -math.inf, -math.inf]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_to_decimal_large_a_cancellation():
+    # The log coefficients reach 4.7e147 and cancel far beyond 50 digits.  A
+    # 1,200-digit mpmath sum of the same terms gives this double, and a
+    # 1,500-digit sum agrees.
+    assert to_decimal(evaluate_integral(200, 101, 50, 13, 11)) == 1.0004139670736968e87
 
 
 def test_quadrature_classic_anchors():
