@@ -26,40 +26,53 @@ __all__ = [
 def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     """Exact value of the integral for any representable parameters.
 
-    Both cases reduce the spectrum {L: w} of sin^a(px) cos^c(qx) (see
-    trig.spectrum), built from the signed p and q: a negative p negates
-    every L of an odd-a spectrum, which gives the factor sign(p)^a, and the
-    sign of q only swaps equal weights.  Same parity gives pi times the sum of
-    w * sgn(L) * L^(b-1), in which sgn(0) = 0 keeps 0^0 out when b = 1.
-    Opposite parity (a > b, so b >= 2) gives the sum of w * L^(b-1) * ln|L|:
-    the weights are summed per |L| first, so each distinct |L| >= 2 is
-    factored once and the rational prefactor is applied once per prime.
+    The gcd g of the frequencies (g = |p| when c = 0) is divided out first:
+    u = g x gives I(a, b, c, g p', g q') = g^(b-1) I(a, b, c, p', q'), so only
+    the reduced frequencies are factored, whatever the size of g.  Both cases
+    reduce the spectrum {L: w} of sin^a(p'x) cos^c(q'x) (see trig.spectrum),
+    built from the signed p' and q': a negative p' negates every L of an
+    odd-a spectrum, which gives the factor sign(p)^a, and the sign of q' only
+    swaps equal weights.  The weights are summed per |L| first, with the sign
+    a negative L carries, so there is one power |L|^(b-1) per distinct |L|.
+    Same parity gives pi times the sum of w * sgn(L) * L^(b-1), in which
+    sgn(0) = 0 keeps 0^0 out when b = 1.  Opposite parity (a > b, so b >= 2)
+    gives the sum of w * L^(b-1) * ln|L|: each distinct |L| >= 2 is factored
+    once, and the ln g terms the reduction drops carry the sum of
+    w * L^(b-1), which the boundary identity makes zero.  g^(b-1) and the
+    rational prefactor are applied once, to the pi sum or per prime.
     p = 0 is the exact zero.
     """
     validate_for_evaluation(params, allow_b1=allow_b1)
     a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
     if p == 0:
         return ExactValue()
-    weights = spectrum(a, c, p, q)
+    g = math.gcd(p, q) if c else abs(p)
     e = b - 1
+    same = params.parity_case is ParityCase.SAME
+    # at L = -m the summand sgn(L) L^e (same parity) or L^e (opposite) is flip * m^e
+    flip = -1 if (e + same) % 2 else 1
+    folded: dict[int, int] = {}
+    for L, w in spectrum(a, c, p // g, q // g).items():
+        if L > 0:
+            folded[L] = folded.get(L, 0) + w
+        elif L < 0:
+            folded[-L] = folded.get(-L, 0) + flip * w
+    scale = g**e
     denominator = 2 ** (a + c - 1) * math.factorial(e)
-    if params.parity_case is ParityCase.SAME:
-        braced = sum(w * L**e if L > 0 else -w * L**e for L, w in weights.items() if L)
+    if same:
+        braced = sum(w * m**e for m, w in folded.items())
         sign = -1 if (b // 2) % 2 else 1
-        return ExactValue(pi_coeff=Fraction(sign * braced, 2 * denominator))
+        return ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator))
 
-    per_magnitude: dict[int, int] = {}
-    for L, w in weights.items():
-        if L:
-            per_magnitude[abs(L)] = per_magnitude.get(abs(L), 0) + w * L**e
     logs: dict[int, int] = {}
-    for magnitude, total in per_magnitude.items():
-        if magnitude > 1 and total:
-            for prime, exp in prime_factorization(magnitude).items():
-                logs[prime] = logs.get(prime, 0) + exp * total
+    for m, w in folded.items():
+        if m > 1 and w:
+            total = w * m**e
+            for prime, exp in prime_factorization(m).items():
+                logs[prime] = logs.get(prime, 0) + (total if exp == 1 else exp * total)
     sign = -1 if ((b + 1) // 2) % 2 else 1
     return ExactValue(
-        log_coeffs={prime: Fraction(sign * n, denominator) for prime, n in logs.items()}
+        log_coeffs={prime: Fraction(sign * scale * n, denominator) for prime, n in logs.items()}
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Union
 
 RationalLike = Union[Fraction, int]
@@ -28,23 +29,40 @@ __all__ = [
 ]
 
 
-def prime_factorization(m: int) -> dict[int, int]:
-    """Factor m >= 1 into {prime: exponent} by trial division.
+# Distinct arguments kept by the factorization memo.  An entry is a key int,
+# a tuple of a few (prime, exponent) pairs and the cache's own link, about
+# 300 bytes, so a full memo holds about 1.2 MB.
+_FACTOR_CACHE_SIZE = 4096
 
-    Log arguments are bounded by a*|p| + c*|q|, so trial division is ample.
+
+def prime_factorization(m: int) -> dict[int, int]:
+    """Factor m >= 1 into {prime: exponent}.
+
+    Trial division, memoized for the last _FACTOR_CACHE_SIZE distinct m, and
+    each call returns a fresh dict.  Its cost grows like the square root of
+    a prime m, so large frequencies are not factored: the evaluator divides
+    the gcd of p and q out first and factors only the reduced |L|.
     """
     if m < 1:
         raise ValueError(f"factorization requires m >= 1, got {m}")
-    factors: dict[int, int] = {}
+    return dict(_factor(m))
+
+
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _factor(m: int) -> tuple[tuple[int, int], ...]:
+    factors: list[tuple[int, int]] = []
     d = 2
     while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
+        if m % d == 0:
+            exp = 0
+            while m % d == 0:
+                exp += 1
+                m //= d
+            factors.append((d, exp))
         d += 1 if d == 2 else 2
     if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
+        factors.append((m, 1))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -60,13 +78,16 @@ class ExactValue:
     log_coeffs: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
+        if not isinstance(self.pi_coeff, Fraction):
+            object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
         cleaned: dict[int, Fraction] = {}
         for prime in sorted(self.log_coeffs):
-            coeff = Fraction(self.log_coeffs[prime])
+            coeff = self.log_coeffs[prime]
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            if prime < 2 or prime_factorization(prime) != {prime: 1}:
+            if prime < 2 or _factor(prime) != ((prime, 1),):
                 raise ValueError(f"log basis entries must be prime, got {prime}")
             cleaned[prime] = coeff
         object.__setattr__(self, "log_coeffs", cleaned)
@@ -110,20 +131,15 @@ class ExactValue:
         if not parts:
             return "0"
         pieces: list[str] = []
-        for i, (coeff, unit) in enumerate(parts):
-            magnitude = _format_rational(-coeff if coeff < 0 else coeff)
-            if i == 0:
-                sign = "-" if coeff < 0 else ""
+        for coeff, unit in parts:
+            num, den = coeff.numerator, coeff.denominator
+            if pieces:
+                sign = " - " if num < 0 else " + "
             else:
-                sign = " - " if coeff < 0 else " + "
+                sign = "-" if num < 0 else ""
+            magnitude = abs(num) if den == 1 else f"{abs(num)}/{den}"
             pieces.append(f"{sign}{magnitude}*{unit}")
         return "".join(pieces)
-
-
-def _format_rational(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
 
 
 _TERM_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?\*(pi|ln\((\d+)\))$")

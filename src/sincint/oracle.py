@@ -102,8 +102,13 @@ def to_decimal(value: ExactValue) -> float:
 
 
 def _add_term(total: tuple, coeff: Fraction, constant: tuple) -> tuple:
-    term = libmp.mpf_pos(libmp.from_int(coeff.numerator), _PREC, _RND)
-    term = libmp.mpf_div(term, libmp.from_int(coeff.denominator), _PREC, _RND)
+    # The numerator is rounded as it is converted, and the denominator is
+    # exact: its trailing zero bits go to the exponent, so it is stored
+    # normalized without a scan for them.
+    den = coeff.denominator
+    tz = (den & -den).bit_length() - 1
+    term = libmp.from_int(coeff.numerator, _PREC, _RND)
+    term = libmp.mpf_div(term, libmp.from_man_exp(den >> tz, tz), _PREC, _RND)
     term = libmp.mpf_mul(term, constant, _PREC, _RND)
     return libmp.mpf_add(total, term, _PREC, _RND)
 

@@ -1,5 +1,7 @@
 """Closed-form evaluator tests: anchors, scaling, shape and domain errors."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,13 @@ from sincint import (
     ExactValue,
     IntegralParams,
     ParityCase,
+    TermKind,
     evaluate,
     evaluate_integral,
+    product_expansion,
     quadrature,
     to_decimal,
+    verify,
 )
 
 
@@ -188,6 +193,67 @@ def test_desk_scale_powers_stay_exact():
     assert scaled == base.scale(Fraction(9) ** 18)
     assert scaled.pi_coeff == 0
     assert any(coeff.numerator > 10**18 for coeff in scaled.log_coeffs.values())
+
+
+def test_large_prime_frequency_is_reduced_by_the_gcd():
+    # Only the reduced frequencies are factored: trial division of 2^61 - 1
+    # would not finish.  verify evaluates first, and its oracle then refuses
+    # the case at once on its node budget.
+    big = 2**61 - 1
+    assert evaluate_integral(3, 2, 0, big, 0) == evaluate_integral(3, 2, 0, 1, 0).scale(big)
+    report = verify(IntegralParams(3, 2, 0, big, 0))
+    assert not report.passed and report.reason is not None
+
+
+# ---------------------------------------------------------------------------
+# an exact second route: the paper's integration by parts
+
+
+def _trial_factor(m):
+    factors, d = {}, 2
+    while m > 1:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1
+    return factors
+
+
+def by_parts(a, b, c, p, q):
+    """I(a, b, c, p, q) from the expanded integrand, without the spectrum.
+
+    sin^a has a zero of order a >= b at 0, so integrating by parts b-1 times
+    leaves no boundary terms: I = integral of f^(b-1)(x)/x dx / (b-1)!, with
+    f = sin^a(|p|x) cos^c(|q|x) and the factor sign(p)^a.  Same parity makes
+    f^(b-1) a sine polynomial (Dirichlet: each sin(Lx)/x gives pi/2);
+    opposite parity a cosine polynomial whose coefficients sum to
+    f^(b-1)(0) = 0 (Frullani: the sum of c_L cos(Lx)/x gives -sum c_L ln L).
+    """
+    f = product_expansion(a, c, abs(p), abs(q))
+    for _ in range(b - 1):
+        f = f.derivative()
+    scale = Fraction(-1 if p < 0 and a % 2 else 1, math.factorial(b - 1))
+    terms = f.terms
+    if (a - b) % 2 == 0:
+        assert all(t.kind is TermKind.SIN for t in terms)
+        return ExactValue(pi_coeff=scale * sum(t.coeff for t in terms) / 2)
+    assert all(t.kind is TermKind.COS and t.frequency > 0 for t in terms)
+    assert sum(t.coeff for t in terms) == 0
+    logs = {}
+    for t in terms:
+        for prime, exp in _trial_factor(t.frequency).items():
+            logs[prime] = logs.get(prime, 0) - scale * exp * t.coeff
+    return ExactValue(log_coeffs=logs)
+
+
+def test_closed_forms_match_integration_by_parts():
+    rng = random.Random(12)
+    cases = [(200, 101, 50, 13, 11), (40, 21, 10, 7, 3), (7, 4, 3, 6, -4), (9, 2, 2, -10, 15)]
+    for _ in range(2000):
+        a = rng.randint(2, 12)
+        cases.append((a, rng.randint(2, a), rng.randint(0, 3), rng.randint(-6, 6), rng.randint(-6, 6)))
+    for case in cases:
+        assert evaluate_integral(*case) == by_parts(*case), case
 
 
 # ---------------------------------------------------------------------------

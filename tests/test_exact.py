@@ -14,6 +14,7 @@ from sincint import (
     prime_factorization,
     spectrum,
 )
+from sincint import exact
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -111,6 +112,16 @@ def test_log_basis_accepts_exactly_the_primes(n):
     else:
         with pytest.raises(ValueError, match=f"log basis entries must be prime, got {n}$"):
             ExactValue(log_coeffs={n: 1})
+
+
+def test_factorization_memo_is_safe():
+    prime_factorization(12)[2] = 7
+    assert prime_factorization(12) == {2: 2, 3: 1}
+    assert prime_factorization(4) == {2: 2} and prime_factorization(9) == {3: 2}
+    for square in (4, 9):
+        with pytest.raises(ValueError, match=f"got {square}$"):
+            ExactValue(log_coeffs={square: 1})
+    assert exact._factor.cache_info().maxsize is not None
 
 
 def test_log_of_one_is_zero():
