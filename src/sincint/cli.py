@@ -4,10 +4,9 @@ Exit codes discriminate failure classes so scripts can branch on them:
 1 usage error, 2 domain error, 3 partial batch failure, 4 selftest failure or
 a verify disagreement, 5 a verify the oracle could not certify (the report
 carries a reason; this says nothing against the closed form).
-The default verification tolerance can be set with the SINCINT_TOL
-environment variable; --tol overrides it.  Either value must be a finite
-number no smaller than MIN_TOL, or the command exits 1.  JSON output is
-strict RFC 8259: a decimal outside double range is written as null.
+--tol sets the verification tolerance (default DEFAULT_TOL); a value that is
+not a finite number no smaller than MIN_TOL exits 1.  JSON output is strict
+RFC 8259: a decimal outside double range is written as null.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .evaluator import evaluate
@@ -38,26 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance(flag: str | None) -> float:
-    """The tolerance from --tol, else SINCINT_TOL, else DEFAULT_TOL.
-
-    Raises ValueError, naming the source, for a value that is not a finite
-    number of at least MIN_TOL.
-    """
-    source, text = ("--tol", flag) if flag is not None else ("SINCINT_TOL", os.environ.get("SINCINT_TOL"))
-    if text is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(text)
-    except ValueError:
-        raise ValueError(f"{source} {text!r} is not a number") from None
-    if not math.isfinite(tol):
-        raise ValueError(f"{source} {text!r} is not finite")
-    if tol < MIN_TOL:
-        raise ValueError(f"{source} {text!r} is below the oracle's floor {MIN_TOL}")
-    return tol
-
-
 def _json(record: dict) -> str:
     """Strict JSON: a float outside double range becomes null."""
     return json.dumps({key: _finite_or_none(value) for key, value in record.items()}, allow_nan=False)
@@ -75,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("-q", type=int, required=True, help="cosine frequency (any sign)")
     params.add_argument("--allow-b1", action="store_true", help="accept b = 1 (odd a only)")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", default=None, help=f"absolute tolerance (>= {MIN_TOL})")
+    tol.add_argument("--tol", default=DEFAULT_TOL, help=f"absolute tolerance (>= {MIN_TOL})")
 
     p_eval = sub.add_parser("eval", parents=[params], help="print the exact closed form and its decimal value")
     p_eval.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -214,10 +192,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if "tol" in args:
         try:
-            args.tol = _tolerance(args.tol)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
+            tol = float(args.tol)
+        except ValueError:
+            tol = math.nan
+        if not MIN_TOL <= tol < math.inf:
+            print(f"usage error: --tol {args.tol!r} is not a finite number >= {MIN_TOL}", file=sys.stderr)
             return EXIT_USAGE
+        args.tol = tol
     try:
         return args.run(args)
     except DomainError as exc:

@@ -14,13 +14,18 @@ import math
 from fractions import Fraction
 
 from .exact import ExactValue, prime_factorization
-from .params import IntegralParams, ParityCase, validate_for_evaluation
+from .params import DomainError, IntegralParams, ParityCase, validate_for_evaluation
 from .trig import spectrum
 
 __all__ = [
     "evaluate",
     "evaluate_integral",
 ]
+
+# Trial divisions allowed for the log case, estimated before any factoring as the
+# distinct |L| times sqrt(a|p'| + c|q'|) >= sqrt(max |L|): about a second of work.
+# Lines with a <= 200, c <= 50 and |p|, |q| <= 13 stay below 3,251 * 57.
+_MAX_TRIAL_DIVISIONS = 10**7
 
 
 def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
@@ -40,7 +45,8 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     once, and the ln g terms the reduction drops carry the sum of
     w * L^(b-1), which the boundary identity makes zero.  g^(b-1) and the
     rational prefactor are applied once, to the pi sum or per prime.
-    p = 0 is the exact zero.
+    p = 0 is the exact zero.  An opposite-parity case whose factoring would
+    take more than _MAX_TRIAL_DIVISIONS trial divisions raises DomainError.
     """
     validate_for_evaluation(params, allow_b1=allow_b1)
     a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
@@ -64,6 +70,10 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
         sign = -1 if (b // 2) % 2 else 1
         return ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator))
 
+    cost = len(folded) * math.isqrt(a * abs(p // g) + c * abs(q // g))
+    if cost > _MAX_TRIAL_DIVISIONS:
+        raise DomainError(f"trial divisions <= {_MAX_TRIAL_DIVISIONS}",
+                          f"factoring the log arguments needs about {cost} trial divisions")
     logs: dict[int, int] = {}
     for m, w in folded.items():
         if m > 1 and w:

@@ -71,7 +71,7 @@ class ExactValue:
 
     Invariants (restored on construction): every log key is prime, no stored
     coefficient is zero, and the zero value has pi_coeff == 0 with an empty
-    map.  Instances are immutable; all arithmetic returns new values.
+    map.  Instances are immutable; scale returns a new value.
     """
 
     pi_coeff: Fraction = Fraction(0)
@@ -91,26 +91,6 @@ class ExactValue:
                 raise ValueError(f"log basis entries must be prime, got {prime}")
             cleaned[prime] = coeff
         object.__setattr__(self, "log_coeffs", cleaned)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.pi_coeff == 0 and not self.log_coeffs
-
-    def __add__(self, other: "ExactValue") -> "ExactValue":
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        merged = dict(self.log_coeffs)
-        for prime, coeff in other.log_coeffs.items():
-            merged[prime] = merged.get(prime, Fraction(0)) + coeff
-        return ExactValue(self.pi_coeff + other.pi_coeff, merged)
-
-    def __neg__(self) -> "ExactValue":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ExactValue") -> "ExactValue":
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, factor: RationalLike) -> "ExactValue":
         """Multiply every coefficient by an exact rational factor."""

@@ -322,8 +322,8 @@ def quadrature(
     and the bound satisfies |true - estimate| <= error_bound <= tol.  Raises
     QuadratureError when the tolerance cannot be certified.
     """
-    if not tol >= MIN_TOL:  # also rejects NaN
-        raise ValueError(f"tolerance {tol!r} is not a number >= {MIN_TOL}, the double-precision oracle's floor")
+    if not MIN_TOL <= tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tolerance {tol!r} is not a finite number >= {MIN_TOL}, the double-precision oracle's floor")
     validate_for_evaluation(params, allow_b1=allow_b1)
     a, b, c = params.a, params.b, params.c
     # The integrand depends on q only through |q| (not at all when c = 0),

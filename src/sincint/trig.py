@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .exact import RationalLike
 from .params import DomainError
@@ -91,21 +91,10 @@ class TrigPoly:
         keys = sorted(self._coeffs, key=lambda k: (k != _CONST_KEY, k[0].value, k[1]))
         return tuple(TrigTerm(TermKind.CONST if k == _CONST_KEY else k[0], k[1], self._coeffs[k]) for k in keys)
 
-    def coeff(self, kind: TermKind, frequency: int = 0) -> Fraction:
-        key = _CONST_KEY if kind is TermKind.CONST and frequency == 0 else (kind, frequency)
-        return self._coeffs.get(key, Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __iter__(self) -> Iterator[TrigTerm]:
-        return iter(self.terms)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -114,10 +103,6 @@ class TrigPoly:
             for t in self.terms
         )
         return f"TrigPoly({body or '0'})"
-
-    def scale(self, factor: RationalLike) -> "TrigPoly":
-        r = Fraction(factor)
-        return TrigPoly([(k, f, c * r) for (k, f), c in self._coeffs.items()])
 
     def derivative(self) -> "TrigPoly":
         """Exact d/dx: sin(fx) -> f cos(fx), cos(fx) -> -f sin(fx)."""

@@ -93,7 +93,7 @@ def test_criterion_5_case_shape_invariants():
             assert value.pi_coeff == 0, f"unexpected pi term at {params}"
         # p = 0 collapses to the exact zero value.
         zero_p = IntegralParams(params.a, params.b, params.c, 0, params.q)
-        assert evaluate(zero_p).is_zero
+        assert evaluate(zero_p) == ExactValue()
         # p -> -p multiplies by (-1)^a exactly.
         flipped = evaluate(
             IntegralParams(params.a, params.b, params.c, -params.p, params.q)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -112,11 +113,13 @@ def test_verify_zero_case(capsys):
     assert record["oracle"] == 0.0
 
 
-def test_verify_tolerance_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SINCINT_TOL", "1e-7")
+@pytest.mark.parametrize("raw", ["abc", "nan", "1e-12", "", "1e-7"])
+def test_tolerance_environment_variable_is_ignored(raw, capsys, monkeypatch):
+    # --tol is the tolerance's only source; without it the default applies.
+    monkeypatch.setenv("SINCINT_TOL", raw)
     code, out, _ = run_cli(["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], capsys)
     assert code == 0
-    assert json.loads(out)["tol"] == 1e-7
+    assert json.loads(out)["tol"] == 1e-6
 
 
 @pytest.mark.parametrize("command", ["verify", "selftest"])
@@ -130,25 +133,6 @@ def test_invalid_tol_flag_is_a_usage_error(command, tol, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "--tol" in err and tol in err
-
-
-@pytest.mark.parametrize("raw", ["abc", "nan", "1e-12", ""])
-def test_invalid_tolerance_environment_is_a_usage_error(raw, capsys, monkeypatch):
-    monkeypatch.setenv("SINCINT_TOL", raw)
-    code, out, err = run_cli(["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], capsys)
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "SINCINT_TOL" in err
-
-
-def test_tol_flag_overrides_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SINCINT_TOL", "abc")
-    code, out, _ = run_cli(
-        ["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0", "--tol", "1e-6"], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["tol"] == 1e-6
 
 
 def test_eval_json_out_of_double_range_is_null(capsys):
@@ -213,6 +197,28 @@ def test_batch_domain_error_reported_inline(tmp_path, capsys):
     record = json.loads(out)
     assert record["status"] == "domain_error"
     assert record["error"] == "a >= b"
+
+
+def test_factoring_over_the_work_limit_is_a_domain_error(tmp_path, capsys):
+    # |L| = p + q = 2*10^13 + 21 is prime: refused before any trial division.
+    args = ["-a", "3", "-b", "2", "-c", "1", "-p", "10000000000000", "-q", "10000000000021"]
+    for command in ("eval", "verify"):
+        start = time.perf_counter()
+        code, out, err = run_cli([command, *args], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("domain error: ") and "[trial divisions <= 10000000]" in err
+    path = tmp_path / "cases.txt"
+    path.write_text("3 2 1 10000000000000 10000000000021\n2 2 0 1 0\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["batch", str(path)], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert first["status"] == "domain_error" and first["error"] == "trial divisions <= 10000000"
+    assert second["status"] == "ok"
 
 
 def test_batch_parse_error_reported_inline(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ def test_log_case_frequency_scaling():
 
 
 def test_log_case_zero_frequency_shortcircuit():
-    assert evaluate_integral(3, 2, 0, 0, 5).is_zero
+    assert evaluate_integral(3, 2, 0, 0, 5) == ExactValue()
 
 
 def test_mixed_product_pi_value():
@@ -110,7 +111,7 @@ def test_sign_symmetry_property(a, b, c, p, q):
 def test_zero_p_always_zero(a, b, c, q):
     if a < b:
         a, b = b, a
-    assert evaluate_integral(a, b, c, 0, q).is_zero
+    assert evaluate_integral(a, b, c, 0, q) == ExactValue()
 
 
 def test_magnitude_bounded_by_pure_sine_value():
@@ -176,8 +177,8 @@ def test_case_evaluators_enforce_parity():
 
 
 def test_case_evaluator_shortcircuits_zero_p():
-    assert evaluate(IntegralParams(2, 2, 0, 0, 0)).is_zero
-    assert evaluate(IntegralParams(3, 2, 1, 0, 2)).is_zero
+    assert evaluate(IntegralParams(2, 2, 0, 0, 0)) == ExactValue()
+    assert evaluate(IntegralParams(3, 2, 1, 0, 2)) == ExactValue()
 
 
 def test_parity_classification():
@@ -203,6 +204,25 @@ def test_large_prime_frequency_is_reduced_by_the_gcd():
     assert evaluate_integral(3, 2, 0, big, 0) == evaluate_integral(3, 2, 0, 1, 0).scale(big)
     report = verify(IntegralParams(3, 2, 0, big, 0))
     assert not report.passed and report.reason is not None
+
+
+def test_factoring_work_is_bounded_before_it_starts():
+    # c > 0 with coprime frequencies leaves |L| = p + q prime.  2*10^11 + 41
+    # is still factored; 2*10^13 + 21 is over the trial-division limit and is
+    # refused at once, by evaluate and by verify, which evaluates first.
+    assert str(evaluate_integral(3, 2, 1, 10**11, 10**11 + 41)) == (
+        "1000000000041/8*ln(3) + 123/8*ln(41) + 400000000041/8*ln(197) + 199999999959/8*ln(1109)"
+        " + 199999999959/8*ln(3463) + 199999999959/8*ln(17359) + 400000000041/8*ln(225606317)"
+        " - 600000000123/8*ln(200000000041)"
+    )
+    params = IntegralParams(3, 2, 1, 10**13, 10**13 + 21)
+    for call in (evaluate, verify):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="trial divisions"):
+            call(params)
+        assert time.perf_counter() - start < 0.1
+    # Same parity factors nothing and is never refused.
+    assert evaluate_integral(3, 3, 1, 10**13, 10**13 + 21).log_coeffs == {}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +302,10 @@ def test_double_angle_relation(ab, p):
 def test_pythagorean_relation(ab, c, p):
     # cos^c(px) = cos^(c-2)(px) (1 - sin^2(px))
     a, b = ab
-    assert exact(a, b, c, p, p) == exact(a, b, c - 2, p, p) - exact(a + 2, b, c - 2, p, p)
+    whole, lower, raised = exact(a, b, c, p, p), exact(a, b, c - 2, p, p), exact(a + 2, b, c - 2, p, p)
+    assert whole.pi_coeff == lower.pi_coeff - raised.pi_coeff
+    for rho in {*whole.log_coeffs, *lower.log_coeffs, *raised.log_coeffs}:
+        assert whole.log_coeffs.get(rho, 0) == lower.log_coeffs.get(rho, 0) - raised.log_coeffs.get(rho, 0)
 
 
 @settings(max_examples=300)

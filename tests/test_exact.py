@@ -161,22 +161,9 @@ def test_log_homomorphism(m, n):
 # ExactValue algebra
 
 
-def test_add_collects_pi():
-    half = ExactValue(pi_coeff=Fraction(1, 2))
-    assert half + half == ExactValue(pi_coeff=1)
-
-
 def test_scale_example():
     value = ExactValue(log_coeffs={3: Fraction(3, 4)})
     assert value.scale(-4) == ExactValue(log_coeffs={3: Fraction(-3)})
-
-
-def test_cancellation_removes_key():
-    u = ExactValue(log_coeffs={3: Fraction(3, 4)})
-    v = ExactValue(log_coeffs={3: Fraction(-3, 4)})
-    total = u + v
-    assert total.is_zero
-    assert total.log_coeffs == {}
 
 
 def test_zero_coefficients_are_dropped_on_construction():
@@ -188,26 +175,6 @@ def test_nonprime_log_key_rejected():
         ExactValue(log_coeffs={6: Fraction(1)})
     with pytest.raises(ValueError):
         ExactValue(log_coeffs={1: Fraction(1)})
-
-
-@given(_exact_values, _exact_values)
-def test_add_commutative(u, v):
-    assert u + v == v + u
-
-
-@given(_exact_values, _exact_values, _exact_values)
-def test_add_associative(u, v, w):
-    assert (u + v) + w == u + (v + w)
-
-
-@given(_exact_values, _exact_values, _rationals)
-def test_scale_distributes_over_add(u, v, r):
-    assert (u + v).scale(r) == u.scale(r) + v.scale(r)
-
-
-@given(_exact_values)
-def test_subtraction_gives_zero(u):
-    assert (u - u).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,11 @@ def test_quadrature_signed_estimate():
 
 
 def test_quadrature_rejects_tolerance_below_floor():
-    for tol in (1e-9, math.nan):
+    for tol in (1e-9, math.nan, math.inf):
         with pytest.raises(ValueError):
             quadrature(IntegralParams(2, 2, 0, 1, 0), tol)
+        with pytest.raises(ValueError):
+            verify(IntegralParams(3, 2, 0, 1, 0), tol)
 
 
 def test_quadrature_fails_loudly_on_tiny_budget(monkeypatch):
@@ -296,10 +298,10 @@ def _profile_from_expansion(a, c, p, q):
     mu_(j+1) its mean and W_j = G_j - mu_(j+1).  From 0, cos(Lx) integrates to
     sin(Lx)/L and sin(Lx) to (1 - cos(Lx))/L.
     """
-    poly = product_expansion(a, c, p, q)
-    mus = [poly.coeff(TermKind.CONST)]
-    cos = {t.frequency: t.coeff for t in poly if t.kind is TermKind.COS}
-    sin = {t.frequency: t.coeff for t in poly if t.kind is TermKind.SIN}
+    terms = product_expansion(a, c, p, q).terms
+    mus = [sum((t.coeff for t in terms if t.kind is TermKind.CONST), Fraction(0))]
+    cos = {t.frequency: t.coeff for t in terms if t.kind is TermKind.COS}
+    sin = {t.frequency: t.coeff for t in terms if t.kind is TermKind.SIN}
     for _ in range(4):
         mus.append(sum((s / L for L, s in sin.items()), Fraction(0)))
         cos, sin = {L: -s / L for L, s in sin.items()}, {L: k / L for L, k in cos.items()}
