@@ -18,7 +18,7 @@ from sincint import (
 
 def describe(poly):
     return " + ".join(
-        (f"{t.coeff}" if t.kind.name == "CONST" else f"{t.coeff}*{t.kind.name.lower()}({t.frequency}x)")
+        (f"{t.coeff}" if t.frequency == 0 else f"{t.coeff}*{t.kind.name.lower()}({t.frequency}x)")
         for t in poly.terms
     ) or "0"
 

@@ -24,7 +24,7 @@ from .oracle import (
     to_decimal,
     verify,
 )
-from .params import DomainError, IntegralParams, ParityCase, validate_for_evaluation
+from .params import DomainError, IntegralParams, validate_for_evaluation
 from .trig import (
     TermKind,
     TrigPoly,
@@ -45,7 +45,6 @@ __all__ = [
     "ExactValue",
     "IntegralParams",
     "MIN_TOL",
-    "ParityCase",
     "QuadratureError",
     "SweepRecord",
     "SweepReport",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .evaluator import evaluate
@@ -27,6 +28,7 @@ EXIT_DOMAIN = 2
 EXIT_BATCH = 3
 EXIT_SELFTEST = 4
 EXIT_UNVERIFIABLE = 5
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "1_0" and non-ASCII digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,16 +43,22 @@ def _json(record: dict) -> str:
     return json.dumps({key: _finite_or_none(value) for key, value in record.items()}, allow_nan=False)
 
 
+def _integer(text: str) -> int:
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sincint", description="Exact sin^a(px) cos^c(qx) / x^b integrals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("-a", type=int, required=True, help="sine exponent (a >= b)")
-    params.add_argument("-b", type=int, required=True, help="power of x (>= 2, or 1 with --allow-b1)")
-    params.add_argument("-c", type=int, required=True, help="cosine exponent (>= 0)")
-    params.add_argument("-p", type=int, required=True, help="sine frequency (any sign)")
-    params.add_argument("-q", type=int, required=True, help="cosine frequency (any sign)")
+    params.add_argument("-a", type=_integer, required=True, help="sine exponent (a >= b)")
+    params.add_argument("-b", type=_integer, required=True, help="power of x (>= 2, or 1 with --allow-b1)")
+    params.add_argument("-c", type=_integer, required=True, help="cosine exponent (>= 0)")
+    params.add_argument("-p", type=_integer, required=True, help="sine frequency (any sign)")
+    params.add_argument("-q", type=_integer, required=True, help="cosine frequency (any sign)")
     params.add_argument("--allow-b1", action="store_true", help="accept b = 1 (odd a only)")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", default=DEFAULT_TOL, help=f"absolute tolerance (>= {MIN_TOL})")
@@ -118,7 +126,7 @@ def cmd_verify(args) -> int:
 
 def cmd_batch(args) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
@@ -147,10 +155,9 @@ def _batch_line(text: str, *, allow_b1: bool) -> dict:
     if len(fields) != 5:
         return {"status": "parse_error", "input": text,
                 "error": f"expected 5 integers, got {len(fields)} fields"}
-    try:
-        a, b, c, p, q = (int(f) for f in fields)
-    except ValueError:
+    if not all(map(_INTEGER.fullmatch, fields)):
         return {"status": "parse_error", "input": text, "error": "fields must be integers"}
+    a, b, c, p, q = map(int, fields)
     try:
         params = IntegralParams(a, b, c, p, q)
         record = _record(params, allow_b1=allow_b1)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .exact import ExactValue, prime_factorization
-from .params import DomainError, IntegralParams, ParityCase, validate_for_evaluation
+from .params import DomainError, IntegralParams, validate_for_evaluation
 from .trig import spectrum
 
 __all__ = [
@@ -22,10 +22,13 @@ __all__ = [
     "evaluate_integral",
 ]
 
-# Trial divisions allowed for the log case, estimated before any factoring as the
-# distinct |L| times sqrt(a|p'| + c|q'|) >= sqrt(max |L|): about a second of work.
-# Lines with a <= 200, c <= 50 and |p|, |q| <= 13 stay below 3,251 * 57.
+# Work limits of about a second each on a 2-vCPU host, estimated before the spectrum
+# from its (a/2+1)(c/2+1) products and at most min(2 * products, max |L|) distinct |L|,
+# where max |L| = a|p'| + c|q'|.  Trial divisions, log case only: distinct * sqrt(max |L|).
 _MAX_TRIAL_DIVISIONS = 10**7
+# Bit operations: products * (a + c) + distinct * the bits of the largest summand
+# w * L^(b-1), plus in the log case a gcd of bits^2/512 per prime below max |L|.
+_MAX_BIT_OPS = 10**9
 
 
 def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
@@ -45,8 +48,8 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     once, and the ln g terms the reduction drops carry the sum of
     w * L^(b-1), which the boundary identity makes zero.  g^(b-1) and the
     rational prefactor are applied once, to the pi sum or per prime.
-    p = 0 is the exact zero.  An opposite-parity case whose factoring would
-    take more than _MAX_TRIAL_DIVISIONS trial divisions raises DomainError.
+    p = 0 is the exact zero.  A case estimated to exceed _MAX_BIT_OPS or
+    _MAX_TRIAL_DIVISIONS raises DomainError before the spectrum is built.
     """
     validate_for_evaluation(params, allow_b1=allow_b1)
     a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
@@ -54,9 +57,22 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
         return ExactValue()
     g = math.gcd(p, q) if c else abs(p)
     e = b - 1
-    same = params.parity_case is ParityCase.SAME
+    same = (a - b) % 2 == 0
     # at L = -m the summand sgn(L) L^e (same parity) or L^e (opposite) is flip * m^e
     flip = -1 if (e + same) % 2 else 1
+    omega = a * abs(p // g) + c * abs(q // g)  # max |L|
+    products = (a // 2 + 1) * (c // 2 + 1)
+    distinct = min(2 * products, omega)
+    bits = a + c + e * omega.bit_length()
+    work = products * (a + c) + distinct * bits
+    if not same:  # 2x / x.bit_length() is within 30% of the number of primes below x
+        work += min(distinct, 2 * omega // omega.bit_length()) * bits * bits >> 9
+    if work > _MAX_BIT_OPS:
+        raise DomainError(f"bit operations <= {_MAX_BIT_OPS}", f"the closed form needs about {work} bit operations")
+    cost = 0 if same else distinct * math.isqrt(omega)
+    if cost > _MAX_TRIAL_DIVISIONS:
+        raise DomainError(f"trial divisions <= {_MAX_TRIAL_DIVISIONS}",
+                          f"factoring the log arguments needs about {cost} trial divisions")
     folded: dict[int, int] = {}
     for L, w in spectrum(a, c, p // g, q // g).items():
         if L > 0:
@@ -70,15 +86,11 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
         sign = -1 if (b // 2) % 2 else 1
         return ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator))
 
-    cost = len(folded) * math.isqrt(a * abs(p // g) + c * abs(q // g))
-    if cost > _MAX_TRIAL_DIVISIONS:
-        raise DomainError(f"trial divisions <= {_MAX_TRIAL_DIVISIONS}",
-                          f"factoring the log arguments needs about {cost} trial divisions")
     logs: dict[int, int] = {}
     for m, w in folded.items():
         if m > 1 and w:
             total = w * m**e
-            for prime, exp in prime_factorization(m).items():
+            for prime, exp in prime_factorization(m):
                 logs[prime] = logs.get(prime, 0) + (total if exp == 1 else exp * total)
     sign = -1 if ((b + 1) // 2) % 2 else 1
     return ExactValue(

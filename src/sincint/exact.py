@@ -35,21 +35,17 @@ __all__ = [
 _FACTOR_CACHE_SIZE = 4096
 
 
-def prime_factorization(m: int) -> dict[int, int]:
-    """Factor m >= 1 into {prime: exponent}.
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def prime_factorization(m: int) -> tuple[tuple[int, int], ...]:
+    """Factor m >= 1 into (prime, exponent) pairs, primes ascending.
 
-    Trial division, memoized for the last _FACTOR_CACHE_SIZE distinct m, and
-    each call returns a fresh dict.  Its cost grows like the square root of
-    a prime m, so large frequencies are not factored: the evaluator divides
-    the gcd of p and q out first and factors only the reduced |L|.
+    Trial division, memoized for the last _FACTOR_CACHE_SIZE distinct m as
+    immutable tuples.  Its cost grows like the square root of a prime m, so
+    large frequencies are not factored: the evaluator divides the gcd of p
+    and q out first and factors only the reduced |L|.
     """
     if m < 1:
         raise ValueError(f"factorization requires m >= 1, got {m}")
-    return dict(_factor(m))
-
-
-@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _factor(m: int) -> tuple[tuple[int, int], ...]:
     factors: list[tuple[int, int]] = []
     d = 2
     while d * d <= m:
@@ -87,7 +83,7 @@ class ExactValue:
                 coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            if prime < 2 or _factor(prime) != ((prime, 1),):
+            if prime < 2 or prime_factorization(prime) != ((prime, 1),):
                 raise ValueError(f"log basis entries must be prime, got {prime}")
             cleaned[prime] = coeff
         object.__setattr__(self, "log_coeffs", cleaned)

@@ -23,18 +23,14 @@ __all__ = ["SweepRecord", "SweepReport", "boundary_identity_sum", "identity_swee
 def boundary_identity_sum(a: int, c: int, p: int, q: int, h: int) -> int:
     """Exact value of the vanishing boundary sum; 0 on every valid input.
 
-    Valid inputs: a >= 2, c >= 0, p, q >= 0, 0 <= h <= a - 2 with h and a of
-    the same parity.  The sum is sum of w * (-1)^L * L^h over the spectrum
-    {L: w}, which is 2^(a+c-1) times +-(the h-th derivative at pi).  Integer
-    powers use 0^0 = 1, matching cos(0*x) = 1, so at h = 0 the product's
-    constant term (which differentiates away for h >= 1) is included.
+    Valid inputs: a >= 2, c >= 0, p and q of either sign, 0 <= h <= a - 2
+    with h and a of the same parity.  The sum is sum of w * (-1)^L * L^h
+    over the spectrum {L: w}, 2^(a+c-1) times +-(the h-th derivative at pi).
+    Integer powers use 0^0 = 1, matching cos(0*x) = 1, so at h = 0 the
+    product's constant term (which differentiates away for h >= 1) is included.
     """
     if a < 2:
         raise DomainError("a >= 2")
-    if c < 0:
-        raise DomainError("c >= 0")
-    if p < 0 or q < 0:
-        raise DomainError("p >= 0 and q >= 0")
     if h < 0 or h > a - 2:
         raise DomainError("0 <= h <= a - 2")
     if (h - a) % 2 != 0:

@@ -1,9 +1,8 @@
-"""Parameter validation and parity classification for the integral family."""
+"""Parameter validation for the integral family."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 
 class DomainError(ValueError):
@@ -16,11 +15,6 @@ class DomainError(ValueError):
     def __init__(self, constraint: str, message: str | None = None):
         self.constraint = constraint
         super().__init__(message or f"constraint violated: {constraint}")
-
-
-class ParityCase(Enum):
-    SAME = "same"
-    OPPOSITE = "opposite"
 
 
 @dataclass(frozen=True)
@@ -53,11 +47,6 @@ class IntegralParams:
             raise DomainError("a >= b")
         if self.c < 0:
             raise DomainError("c >= 0")
-
-    @property
-    def parity_case(self) -> ParityCase:
-        """SAME when a and b agree mod 2 (pi-valued case), else OPPOSITE."""
-        return ParityCase.SAME if (self.a - self.b) % 2 == 0 else ParityCase.OPPOSITE
 
 
 def validate_for_evaluation(params: IntegralParams, *, allow_b1: bool = False) -> None:

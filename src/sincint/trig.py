@@ -1,12 +1,13 @@
 """Finite trigonometric polynomials with exact rational coefficients.
 
-Powers and products of sin(px), cos(qx) expand into sums of const, sin(kx)
-and cos(kx) terms with integer frequencies; this module expands them by exact
-product-to-sum multiplication alone and differentiates them term-wise.  It
-also holds the integer frequency spectrum of sin^a(px) cos^c(qx), the only
-binomial power reduction in the package, that the closed forms, the boundary
-identity and the direct n-th derivative all reduce; the product-to-sum route
-shares no formula with it and is the reference the tests compare it against.
+Powers and products of sin(px), cos(qx), for p and q of either sign, expand
+into sums of sin(kx) and cos(kx) terms, a constant being cos(0x); this module
+expands them by exact product-to-sum multiplication alone and differentiates
+them term-wise.  It also holds the integer frequency spectrum of
+sin^a(px) cos^c(qx), the only binomial power reduction in the package, that
+the closed forms, the boundary identity and the direct n-th derivative all
+reduce; the product-to-sum route shares no formula with it and is the
+reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -34,20 +35,16 @@ __all__ = [
 
 
 class TermKind(Enum):
-    CONST = 0
     SIN = 1
     COS = 2
 
 
-_CONST_KEY = (TermKind.COS, 0)  # a constant is stored as cos(0x) and reported as CONST
-
-
 @dataclass(frozen=True)
 class TrigTerm:
-    """One summand: coeff * {1 | sin(frequency*x) | cos(frequency*x)}.
+    """One summand: coeff * {sin(frequency*x) | cos(frequency*x)}.
 
-    CONST terms carry frequency 0; SIN and COS terms carry frequency >= 1
-    (zero-frequency sines vanish, zero-frequency cosines fold into CONST).
+    Frequencies are >= 0; only the constant cos(0x) = 1 has frequency 0, and
+    TrigPoly.terms lists it first.  Zero-frequency sines vanish.
     """
 
     kind: TermKind
@@ -66,10 +63,6 @@ class TrigPoly:
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c == 0:
                 continue
-            if kind is TermKind.CONST:
-                if frequency != 0:
-                    raise ValueError("CONST terms must have frequency 0")
-                kind = TermKind.COS
             if kind is TermKind.SIN:
                 if frequency == 0:
                     continue
@@ -88,8 +81,8 @@ class TrigPoly:
 
     @property
     def terms(self) -> tuple[TrigTerm, ...]:
-        keys = sorted(self._coeffs, key=lambda k: (k != _CONST_KEY, k[0].value, k[1]))
-        return tuple(TrigTerm(TermKind.CONST if k == _CONST_KEY else k[0], k[1], self._coeffs[k]) for k in keys)
+        keys = sorted(self._coeffs, key=lambda k: (k[1] > 0, k[0].value, k[1]))
+        return tuple(TrigTerm(kind, freq, self._coeffs[kind, freq]) for kind, freq in keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrigPoly):
@@ -97,11 +90,7 @@ class TrigPoly:
         return self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{t.kind.name.lower()}({t.frequency})*{t.coeff}" if t.kind is not TermKind.CONST
-            else f"const*{t.coeff}"
-            for t in self.terms
-        )
+        body = ", ".join(f"{t.kind.name.lower()}({t.frequency})*{t.coeff}" for t in self.terms)
         return f"TrigPoly({body or '0'})"
 
     def derivative(self) -> "TrigPoly":
@@ -110,7 +99,7 @@ class TrigPoly:
         for (kind, freq), coeff in self._coeffs.items():
             if kind is TermKind.SIN:
                 items.append((TermKind.COS, freq, coeff * freq))
-            elif kind is TermKind.COS:
+            else:
                 items.append((TermKind.SIN, freq, -coeff * freq))
         return TrigPoly(items)
 
@@ -138,9 +127,7 @@ def sin_power_expand(a: int, p: int) -> TrigPoly:
     """Expand sin^a(px) into multiple-angle form; p = 0 gives the exact zero."""
     if a < 1:
         raise DomainError("a >= 1", f"sin power expansion needs a >= 1, got {a}")
-    if p < 0:
-        raise DomainError("p >= 0", "expansion frequencies must be non-negative")
-    power = TrigPoly([(TermKind.CONST, 0, 1)])
+    power = TrigPoly([(TermKind.COS, 0, 1)])
     for _ in range(a):
         power = trig_product(power, TrigPoly([(TermKind.SIN, p, 1)]))
     return power
@@ -150,9 +137,7 @@ def cos_power_expand(c: int, q: int) -> TrigPoly:
     """Expand cos^c(qx) into multiple-angle form; c = 0 is the constant 1."""
     if c < 0:
         raise DomainError("c >= 0", f"cos power expansion needs c >= 0, got {c}")
-    if q < 0:
-        raise DomainError("q >= 0", "expansion frequencies must be non-negative")
-    power = TrigPoly([(TermKind.CONST, 0, 1)])
+    power = TrigPoly([(TermKind.COS, 0, 1)])
     for _ in range(c):
         power = trig_product(power, TrigPoly([(TermKind.COS, q, 1)]))
     return power
@@ -167,21 +152,17 @@ def trig_product(u: TrigPoly, v: TrigPoly) -> TrigPoly:
     items: list[tuple[TermKind, int, Fraction]] = []
     for (k1, f1), c1 in u._coeffs.items():
         for (k2, f2), c2 in v._coeffs.items():
-            c = c1 * c2
+            half = c1 * c2 / 2
             if k1 is TermKind.SIN and k2 is TermKind.SIN:
-                half = c / 2
                 items.append((TermKind.COS, f1 - f2, half))
                 items.append((TermKind.COS, f1 + f2, -half))
             elif k1 is TermKind.COS and k2 is TermKind.COS:
-                half = c / 2
                 items.append((TermKind.COS, f1 - f2, half))
                 items.append((TermKind.COS, f1 + f2, half))
             elif k1 is TermKind.SIN:  # sin * cos
-                half = c / 2
                 items.append((TermKind.SIN, f1 + f2, half))
                 items.append((TermKind.SIN, f1 - f2, half))
             else:  # cos * sin
-                half = c / 2
                 items.append((TermKind.SIN, f1 + f2, half))
                 items.append((TermKind.SIN, f2 - f1, half))
     return TrigPoly(items)
@@ -206,21 +187,26 @@ def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
         raise DomainError("a >= 1", f"the spectrum needs a >= 1, got {a}")
     if c < 0:
         raise DomainError("c >= 0", f"the spectrum needs c >= 0, got {c}")
+    # Binomials by C(n, i+1) = C(n, i)(n-i)/(i+1), not math.comb.  The loops end with
+    # binom_a = C(a, a/2) for even a and binom_c = C(c, c/2) for even c: the constants.
     sign_a = -1 if (a // 2) % 2 else 1
-    sines = [((a - 2 * i) * p, sign_a * (-1 if i % 2 else 1) * math.comb(a, i))
-             for i in range((a + 1) // 2)]
-    cosines = [((c - 2 * j) * q, math.comb(c, j)) for j in range((c + 1) // 2)]
+    sines, binom_a = [], 1
+    for i in range((a + 1) // 2):
+        sines.append(((a - 2 * i) * p, sign_a * (-1 if i % 2 else 1) * binom_a))
+        binom_a = binom_a * (a - i) // (i + 1)
+    cosines, binom_c = [], 1
+    for j in range((c + 1) // 2):
+        cosines.append(((c - 2 * j) * q, binom_c))
+        binom_c = binom_c * (c - j) // (j + 1)
     weights: dict[int, int] = {}
     if c % 2 == 0:  # sine terms times the constant of cos^c
-        middle = math.comb(c, c // 2)
         for f, u in sines:
-            weights[f] = weights.get(f, 0) + u * middle
+            weights[f] = weights.get(f, 0) + u * binom_c
     if a % 2 == 0:  # the constant of sin^a times the cosine terms
-        middle = math.comb(a, a // 2)
         for g, v in cosines:
-            weights[g] = weights.get(g, 0) + middle * v
+            weights[g] = weights.get(g, 0) + binom_a * v
         if c % 2 == 0:  # C(a, a/2) is even for a >= 2
-            weights[0] = weights.get(0, 0) + middle * math.comb(c, c // 2) // 2
+            weights[0] = weights.get(0, 0) + binom_a * binom_c // 2
     for f, u in sines:
         for g, v in cosines:
             w = u * v
@@ -233,14 +219,12 @@ def derivative_expansion(a: int, c: int, p: int, q: int, h: int) -> TrigPoly:
     """h-th derivative of sin^a(px) cos^c(qx), instantiated in closed form.
 
     When a and h have opposite parity the result is a pure sine polynomial;
-    with same parity it is constant plus cosines.  Each spectrum term
+    with same parity a cosine polynomial, cos(0x) included.  Each spectrum term
     w * trig(L x) differentiates to w * L^h times a sine or cosine, and the
     constant term sits at L = 0, where 0^h keeps it at h = 0 only.  Term-wise
     differentiation of the product expansion must agree with this function
     at every h, which the test suite checks coefficient-exactly.
     """
-    if p < 0 or q < 0:
-        raise DomainError("p >= 0 and q >= 0")
     if h < 0:
         raise DomainError("h >= 0")
     weights = spectrum(a, c, p, q)

@@ -221,6 +221,62 @@ def test_factoring_over_the_work_limit_is_a_domain_error(tmp_path, capsys):
     assert second["status"] == "ok"
 
 
+def test_big_integer_work_over_the_limit_is_a_domain_error(tmp_path, capsys):
+    # (100001, 2, 0, 1, 0) does not finish in 10 s unrefused; each command
+    # refuses it before the spectrum, and the refusal itself takes under 1 ms.
+    args = ["-a", "100001", "-b", "2", "-c", "0", "-p", "1", "-q", "0"]
+    for command in ("eval", "verify"):
+        start = time.perf_counter()
+        code, out, err = run_cli([command, *args], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error: ") and err.endswith(" [bit operations <= 1000000000]\n")
+    path = tmp_path / "cases.txt"
+    path.write_text("100001 2 0 1 0\n2 2 0 1 0\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["batch", str(path)], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert first == {"a": 100001, "b": 2, "c": 0, "p": 1, "q": 0,
+                     "status": "domain_error", "error": "bit operations <= 1000000000"}
+    assert second["status"] == "ok"
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert cli._batch_line("100001 2 0 1 0", allow_b1=False)["status"] == "domain_error"
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 1e-3
+
+
+def test_integer_fields_are_ascii_digits_only(tmp_path, capsys):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    path = tmp_path / "cases.txt"
+    path.write_text("3 2 0 1_0 0\n3 2 0 \u0663 0\n3 2 0 +1 -0\n", encoding="utf-8")
+    code, out, _ = run_cli(["batch", str(path)], capsys)
+    assert code == 3
+    first, second, third = (json.loads(line) for line in out.splitlines())
+    assert first == {"status": "parse_error", "input": "3 2 0 1_0 0", "error": "fields must be integers"}
+    assert second == {"status": "parse_error", "input": "3 2 0 \u0663 0", "error": "fields must be integers"}
+    assert third["status"] == "ok" and (third["p"], third["q"]) == (1, 0)
+    for value in ("1_0", "\u0663", " 1", "1.0", ""):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "-a", "3", "-b", "2", "-c", "0", "-p", value, "-q", "0"])
+        assert excinfo.value.code == 1
+        assert f"invalid integer value: {value!r}" in capsys.readouterr().err
+    code, out, _ = run_cli(["eval", "-a", "+3", "-b", "2", "-c", "0", "-p", "-1", "-q", "0"], capsys)
+    assert code == 0 and out.startswith("-3/4*ln(3) = ")
+
+
+def test_batch_reads_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "cases.txt"
+    path.write_bytes("\ufeff2 2 0 1 0\n3 2 0 1 0\n".encode("utf-8"))
+    code, out, _ = run_cli(["batch", str(path), "--format", "plain"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "2 2 0 1 0 -> 1/2*pi = 1.5707963267948966"
+
+
 def test_batch_parse_error_reported_inline(tmp_path, capsys):
     path = tmp_path / "cases.txt"
     path.write_text("2 2 0 1\n2 2 0 1 0\n1 2 x 4 5\n")

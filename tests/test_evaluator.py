@@ -1,5 +1,6 @@
 """Closed-form evaluator tests: anchors, scaling, shape and domain errors."""
 
+import hashlib
 import math
 import random
 import time
@@ -13,7 +14,6 @@ from sincint import (
     DomainError,
     ExactValue,
     IntegralParams,
-    ParityCase,
     TermKind,
     evaluate,
     evaluate_integral,
@@ -182,8 +182,14 @@ def test_case_evaluator_shortcircuits_zero_p():
 
 
 def test_parity_classification():
-    assert IntegralParams(4, 2, 0, 1, 0).parity_case is ParityCase.SAME
-    assert IntegralParams(5, 2, 0, 1, 0).parity_case is ParityCase.OPPOSITE
+    # (a - b) % 2 alone picks the case: 0 gives a multiple of pi, 1 a log combination.
+    for a in range(2, 9):
+        for b in range(2, a + 1):
+            value = evaluate_integral(a, b, 0, 1, 0)
+            if (a - b) % 2 == 0:
+                assert value.log_coeffs == {} and value.pi_coeff != 0, (a, b)
+            else:
+                assert value.pi_coeff == 0 and value.log_coeffs != {}, (a, b)
 
 
 def test_desk_scale_powers_stay_exact():
@@ -223,6 +229,27 @@ def test_factoring_work_is_bounded_before_it_starts():
         assert time.perf_counter() - start < 0.1
     # Same parity factors nothing and is never refused.
     assert evaluate_integral(3, 3, 1, 10**13, 10**13 + 21).log_coeffs == {}
+
+
+def test_big_integer_work_is_bounded_before_it_starts():
+    # (100001, 2, 0, 1, 0) needs a gcd of two 100,000-bit integers for each of
+    # 9,592 primes and does not finish in 10 s; it is refused before the
+    # spectrum, by evaluate and by verify, which evaluates first.
+    params = IntegralParams(100001, 2, 0, 1, 0)
+    for call in (evaluate, verify):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="bit operations") as excinfo:
+                call(params)
+            elapsed.append(time.perf_counter() - start)
+            assert excinfo.value.constraint == "bit operations <= 1000000000"
+        assert min(elapsed) < 1e-3
+    # Below the limit the value is unchanged: its text is 2,146,086 characters.
+    text = str(evaluate_integral(800, 401, 200, 13, 11))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3caa72151568972ec25039449fd0f988b491fba182958119c0e6198b832edf66"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,9 @@ def test_binomial_is_exact_rational_type():
 @given(st.integers(min_value=1, max_value=20000))
 def test_factorization_recomposes_and_uses_primes(m):
     factors = prime_factorization(m)
+    assert [prime for prime, _ in factors] == sorted({prime for prime, _ in factors})
     product = 1
-    for prime, exponent in factors.items():
+    for prime, exponent in factors:
         assert brute_is_prime(prime)
         assert exponent >= 1
         product *= prime**exponent
@@ -115,29 +116,31 @@ def test_log_basis_accepts_exactly_the_primes(n):
 
 
 def test_factorization_memo_is_safe():
-    prime_factorization(12)[2] = 7
-    assert prime_factorization(12) == {2: 2, 3: 1}
-    assert prime_factorization(4) == {2: 2} and prime_factorization(9) == {3: 2}
+    # The memo hands out one immutable tuple per m, so no caller can corrupt it.
+    assert prime_factorization(12) is prime_factorization(12) == ((2, 2), (3, 1))
+    with pytest.raises(TypeError):
+        prime_factorization(12)[0] = (2, 7)
+    assert prime_factorization(4) == ((2, 2),) and prime_factorization(9) == ((3, 2),)
     for square in (4, 9):
         with pytest.raises(ValueError, match=f"got {square}$"):
             ExactValue(log_coeffs={square: 1})
-    assert exact._factor.cache_info().maxsize is not None
+    assert exact.prime_factorization.cache_info().maxsize == exact._FACTOR_CACHE_SIZE
 
 
 def test_log_of_one_is_zero():
     # ln(1) has no prime terms.
-    assert prime_factorization(1) == {}
+    assert prime_factorization(1) == ()
 
 
 def test_log_of_twelve():
     # ln(12) = 2 ln(2) + ln(3)
-    assert prime_factorization(12) == {2: 2, 3: 1}
+    assert prime_factorization(12) == ((2, 2), (3, 1))
 
 
 def test_log_of_nine_with_rational_weight():
     # sin^3(3x) has frequencies 3 and 9; ln(9) = 2 ln(3), so
     # I(3,2,0,3,0) = 3 * I(3,2,0,1,0) = 3 * 3/4 ln(3).
-    assert prime_factorization(9) == {3: 2}
+    assert prime_factorization(9) == ((3, 2),)
     assert evaluate_integral(3, 2, 0, 3, 0) == ExactValue(log_coeffs={3: Fraction(9, 4)})
 
 
@@ -152,8 +155,8 @@ def test_log_rejects_nonpositive_argument():
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))
 def test_log_homomorphism(m, n):
     # ln(mn) = ln(m) + ln(n): exponents add prime by prime.
-    assert Counter(prime_factorization(m * n)) == (
-        Counter(prime_factorization(m)) + Counter(prime_factorization(n))
+    assert Counter(dict(prime_factorization(m * n))) == (
+        Counter(dict(prime_factorization(m))) + Counter(dict(prime_factorization(n)))
     )
 
 

@@ -50,10 +50,19 @@ def test_rejects_small_a():
         boundary_identity_sum(1, 0, 1, 0, 0)
 
 
-def test_rejects_negative_c_and_frequencies():
-    for args in [(4, -1, 1, 0, 0), (4, 0, -1, 0, 0), (4, 0, 1, -2, 0)]:
-        with pytest.raises(DomainError):
-            boundary_identity_sum(*args)
+def test_rejects_negative_c():
+    with pytest.raises(DomainError):
+        boundary_identity_sum(4, -1, 1, 0, 0)
+
+
+def test_negative_frequencies_sum_to_zero():
+    # The spectrum of sin^a(-px) cos^c(qx) is that of sin^a(px) cos^c(qx) with
+    # every L negated, and L % 2 and L^h hold for negative L: every sum is 0.
+    for a in range(2, 9):
+        for c in range(0, 4):
+            for p, q in [(-1, 0), (0, -2), (-1, 1), (2, -3), (-3, -5), (-7, 4)]:
+                for h in range(a % 2, a - 1, 2):
+                    assert boundary_identity_sum(a, c, p, q, h) == 0, (a, c, p, q, h)
 
 
 def test_sweep_reports_a_failing_tuple(monkeypatch):

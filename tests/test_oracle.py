@@ -299,8 +299,8 @@ def _profile_from_expansion(a, c, p, q):
     sin(Lx)/L and sin(Lx) to (1 - cos(Lx))/L.
     """
     terms = product_expansion(a, c, p, q).terms
-    mus = [sum((t.coeff for t in terms if t.kind is TermKind.CONST), Fraction(0))]
     cos = {t.frequency: t.coeff for t in terms if t.kind is TermKind.COS}
+    mus = [cos.pop(0, Fraction(0))]  # the constant cos(0x)
     sin = {t.frequency: t.coeff for t in terms if t.kind is TermKind.SIN}
     for _ in range(4):
         mus.append(sum((s / L for L, s in sin.items()), Fraction(0)))

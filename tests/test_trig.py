@@ -12,6 +12,7 @@ from sincint import (
     DomainError,
     TermKind,
     TrigPoly,
+    TrigTerm,
     cos_power_expand,
     derivative_expansion,
     product_expansion,
@@ -37,7 +38,7 @@ def test_sin_identity_expansion():
 
 def test_sin_squared():
     assert sin_power_expand(2, 1) == TrigPoly(
-        [(TermKind.CONST, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2))]
+        [(TermKind.COS, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2))]
     )
 
 
@@ -48,7 +49,7 @@ def test_sin_cubed_scaled_frequency():
 
 
 def test_cos_power_zero_is_one():
-    assert cos_power_expand(0, 7) == TrigPoly([(TermKind.CONST, 0, 1)])
+    assert cos_power_expand(0, 7) == TrigPoly([(TermKind.COS, 0, 1)])
 
 
 def test_cos_identity():
@@ -57,7 +58,7 @@ def test_cos_identity():
 
 def test_cos_squared():
     assert cos_power_expand(2, 1) == TrigPoly(
-        [(TermKind.CONST, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(1, 2))]
+        [(TermKind.COS, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(1, 2))]
     )
 
 
@@ -68,10 +69,15 @@ def test_sin_power_requires_positive_exponent():
         sin_power_expand(-2, 1)
 
 
-def test_expansions_reject_negative_frequencies_and_cos_exponent():
-    for expand, exponent in [(sin_power_expand, 2), (cos_power_expand, 2)]:
-        with pytest.raises(DomainError):
-            expand(exponent, -1)
+def test_expansions_take_either_frequency_sign_and_reject_negative_cos_exponent():
+    # sin(-u) = -sin(u) and cos(-u) = cos(u): a negative frequency negates odd sine powers only.
+    for e in range(0, 7):
+        for f in range(0, 5):
+            assert cos_power_expand(e, -f) == cos_power_expand(e, f)
+            if e:
+                sign = -1 if e % 2 else 1
+                flipped = TrigPoly((t.kind, t.frequency, sign * t.coeff) for t in sin_power_expand(e, f).terms)
+                assert sin_power_expand(e, -f) == flipped
     with pytest.raises(DomainError):
         cos_power_expand(-1, 1)
 
@@ -81,7 +87,7 @@ def test_zero_frequency_expansions_fold_to_exact_zero_or_one():
     for a in range(1, 9):
         assert sin_power_expand(a, 0) == TrigPoly()
     for c in range(0, 9):
-        assert cos_power_expand(c, 0) == TrigPoly([(TermKind.CONST, 0, 1)])
+        assert cos_power_expand(c, 0) == TrigPoly([(TermKind.COS, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +106,7 @@ def test_product_sin_sin_matches_power_expansion():
 
 
 def test_constant_absorption():
-    three = TrigPoly([(TermKind.CONST, 0, 3)])
+    three = TrigPoly([(TermKind.COS, 0, 3)])
     poly = TrigPoly([(TermKind.SIN, 2, Fraction(5, 7)), (TermKind.COS, 4, -2)])
     tripled = TrigPoly([(TermKind.SIN, 2, Fraction(15, 7)), (TermKind.COS, 4, -6)])
     assert trig_product(three, poly) == tripled
@@ -111,22 +117,22 @@ def test_constant_absorption():
 
 
 def test_term_order_and_repr():
-    # Equality ignores order, but .terms and repr list CONST first, then SIN,
-    # then COS, each by ascending frequency.
+    # Equality ignores order, but .terms and repr list the constant cos(0x)
+    # first, then SIN, then COS, each by ascending frequency.
     scrambled = TrigPoly([
-        (TermKind.COS, 3, 2), (TermKind.SIN, 5, -1), (TermKind.CONST, 0, Fraction(1, 3)),
+        (TermKind.COS, 3, 2), (TermKind.SIN, 5, -1), (TermKind.COS, 0, Fraction(1, 3)),
         (TermKind.COS, 1, 4), (TermKind.SIN, 2, Fraction(1, 2)),
     ])
     assert [(t.kind, t.frequency, t.coeff) for t in scrambled.terms] == [
-        (TermKind.CONST, 0, Fraction(1, 3)), (TermKind.SIN, 2, Fraction(1, 2)),
+        (TermKind.COS, 0, Fraction(1, 3)), (TermKind.SIN, 2, Fraction(1, 2)),
         (TermKind.SIN, 5, -1), (TermKind.COS, 1, 4), (TermKind.COS, 3, 2),
     ]
-    assert repr(scrambled) == "TrigPoly(const*1/3, sin(2)*1/2, sin(5)*-1, cos(1)*4, cos(3)*2)"
+    assert repr(scrambled) == "TrigPoly(cos(0)*1/3, sin(2)*1/2, sin(5)*-1, cos(1)*4, cos(3)*2)"
     squared = sin_power_expand(2, 1)
     assert [(t.kind, t.frequency, t.coeff) for t in squared.terms] == [
-        (TermKind.CONST, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2)),
+        (TermKind.COS, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2)),
     ]
-    assert repr(squared) == "TrigPoly(const*1/2, cos(2)*-1/2)"
+    assert repr(squared) == "TrigPoly(cos(0)*1/2, cos(2)*-1/2)"
 
 
 def test_negative_frequency_normalization():
@@ -135,9 +141,8 @@ def test_negative_frequency_normalization():
         [(TermKind.COS, 3, Fraction(2, 5))]
     )
     assert TrigPoly([(TermKind.SIN, 0, 7)]) == TrigPoly()
-    assert TrigPoly([(TermKind.COS, 0, 7)]) == TrigPoly([(TermKind.CONST, 0, 7)])
-    with pytest.raises(ValueError):
-        TrigPoly([(TermKind.CONST, 2, 7)])
+    assert TrigPoly([(TermKind.COS, 0, 7)]).terms == (TrigTerm(TermKind.COS, 0, Fraction(7)),)
+    assert TrigPoly([(TermKind.COS, -2, 7), (TermKind.COS, 2, -7)]) == TrigPoly()
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +187,7 @@ def test_sin_power_parity_shape():
         if a % 2:
             assert kinds <= {TermKind.SIN}
         else:
-            assert kinds <= {TermKind.CONST, TermKind.COS}
+            assert kinds <= {TermKind.COS}
 
 
 def test_derivative_expansion_parity_shape():
@@ -192,7 +197,7 @@ def test_derivative_expansion_parity_shape():
             if (a - h) % 2:
                 assert kinds <= {TermKind.SIN}
             else:
-                assert kinds <= {TermKind.CONST, TermKind.COS}
+                assert kinds <= {TermKind.COS}
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def test_derivative_expansion_parity_shape():
 
 def test_derivative_expansion_examples():
     assert derivative_expansion(2, 0, 1, 0, 0) == TrigPoly(
-        [(TermKind.CONST, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2))]
+        [(TermKind.COS, 0, Fraction(1, 2)), (TermKind.COS, 2, Fraction(-1, 2))]
     )
     assert derivative_expansion(2, 0, 1, 0, 1) == TrigPoly([(TermKind.SIN, 2, 1)])
     assert derivative_expansion(2, 0, 1, 0, 2) == TrigPoly([(TermKind.COS, 2, 2)])
@@ -214,22 +219,20 @@ def test_derivative_expansion_rejects_bad_domain():
         derivative_expansion(2, -1, 1, 0, 1)
     with pytest.raises(DomainError):
         derivative_expansion(2, 0, 1, 0, -1)
-    with pytest.raises(DomainError):
-        derivative_expansion(2, 0, -1, 0, 1)
 
 
 def test_order_zero_equals_product_expansion():
     for a in range(1, 7):
         for c in range(0, 5):
-            for p in range(0, 4):
-                for q in range(0, 4):
+            for p in range(-3, 4):
+                for q in range(-3, 4):
                     assert derivative_expansion(a, c, p, q, 0) == product_expansion(a, c, p, q)
 
 
 def test_closed_form_matches_stepwise_differentiation():
     for a in range(1, 7):
         for c in range(0, 4):
-            for p, q in [(1, 1), (3, 2), (2, 0), (0, 2)]:
+            for p, q in [(1, 1), (3, 2), (2, 0), (0, 2), (-1, 1), (3, -2), (-2, -3), (0, -2)]:
                 stepwise = product_expansion(a, c, p, q)
                 for h in range(1, 7):
                     stepwise = stepwise.derivative()
@@ -237,7 +240,7 @@ def test_closed_form_matches_stepwise_differentiation():
 
 
 def test_successive_orders_are_termwise_derivatives():
-    for a, c, p, q in [(2, 0, 1, 0), (3, 2, 2, 1), (5, 3, 3, 2), (4, 4, 1, 3)]:
+    for a, c, p, q in [(2, 0, 1, 0), (3, 2, 2, 1), (5, 3, 3, 2), (4, 4, 1, 3), (3, 2, -2, 1), (5, 3, 3, -2)]:
         for h in range(0, 6):
             assert (
                 derivative_expansion(a, c, p, q, h).derivative()
@@ -258,14 +261,32 @@ def test_value_at_zero_reproduces_integrand_at_origin():
 def test_spectrum_matches_product_expansion():
     # The product-to-sum route is the independent reference for the one
     # spectrum every closed form reduces; this box reaches past criterion 6.
+    # The signs of p and q cycle through all four patterns across the box.
+    signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))
     for a in range(1, 15):
         kind = TermKind.COS if a % 2 == 0 else TermKind.SIN
         for c in range(0, 7):
             for p in range(0, 7):
                 for q in range(0, 7):
+                    sp, sq = signs[(a + c + p + q) % 4]
+                    args = (a, c, sp * p, sq * q)
                     scale = 2 ** (a + c - 1)
-                    from_spectrum = TrigPoly((kind, L, Fraction(w, scale)) for L, w in spectrum(a, c, p, q).items())
-                    assert from_spectrum == product_expansion(a, c, p, q), (a, c, p, q)
+                    from_spectrum = TrigPoly((kind, L, Fraction(w, scale)) for L, w in spectrum(*args).items())
+                    assert from_spectrum == product_expansion(*args), args
+
+
+def test_spectrum_binomials_at_large_exponents():
+    # The weights are built by C(n, i+1) = C(n, i)(n-i)/(i+1); math.comb is the reference.
+    for n in (200, 201, 1001, 2000):
+        sign = -1 if (n // 2) % 2 else 1
+        sines = spectrum(n, 0, 1, 0)
+        for i in range((n + 1) // 2):
+            assert sines[n - 2 * i] == sign * (-1) ** i * math.comb(n, i), (n, i)
+        assert sines.get(0, 0) == (0 if n % 2 else math.comb(n, n // 2) // 2)
+        cosines = spectrum(1, n, 1, 10**6)  # L = 1 +- (n - 2j) 10^6 never collide
+        for j in range((n + 1) // 2):
+            assert cosines[1 + (n - 2 * j) * 10**6] == math.comb(n, j), (n, j)
+        assert cosines.get(1, 0) == (0 if n % 2 else math.comb(n, n // 2))
 
 
 def test_value_at_pi_matches_float_evaluation():
