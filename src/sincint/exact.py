@@ -14,6 +14,7 @@ equal.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,6 +62,49 @@ def prime_factorization(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+# Miller-Rabin strong-probable-prime tests to the first k prime bases decide
+# every n below psi_k, the least strong pseudoprime to all k of them (OEIS
+# A014233; Sorenson and Webster, Math. Comp. 86 (2017) for k = 12, 13).
+_MR_LADDER = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
+    (11, 2152302898747), (13, 3474749660383), (17, 341550071728321),
+    (19, 341550071728321), (23, 3825123056546413051), (29, 3825123056546413051),
+    (31, 3825123056546413051), (37, 318665857834031151167461),
+    (41, 3317044064679887385961981),
+)
+_PRIME_LIMIT = _MR_LADDER[-1][1]
+_SMALL_PRIMES = tuple(base for base, _ in _MR_LADDER)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n in one gcd and at most 13 modular powers.
+
+    A factor up to 41 is found by the gcd, which decides every n < 43^2;
+    above that the Miller-Rabin ladder runs until n < psi_k.  The answer is
+    proven for n < _PRIME_LIMIT; above it True means a strong probable prime.
+    """
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    if n < 43 * 43:
+        return n > 1
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for base, psi in _MR_LADDER:
+        x = pow(base, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return True
+
+
 @dataclass(frozen=True)
 class ExactValue:
     """A number of the form  pi_coeff*pi + sum log_coeffs[rho]*ln(rho).
@@ -83,7 +127,9 @@ class ExactValue:
                 coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            if prime < 2 or prime_factorization(prime) != ((prime, 1),):
+            if prime >= _PRIME_LIMIT:
+                raise ValueError(f"log basis entries must be below {_PRIME_LIMIT}, got {prime}")
+            if not _is_prime(prime):
                 raise ValueError(f"log basis entries must be prime, got {prime}")
             cleaned[prime] = coeff
         object.__setattr__(self, "log_coeffs", cleaned)

@@ -25,6 +25,8 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
   antiderivatives and a bound on the last one.  Integration by parts gives
       integral = mu_1 * X^(1-b)/(b-1) + mu_2 * X^-b + b*mu_3*X^(-b-1) + ...
   with a remainder that falls like X^-(b+3).  For b = 1 (odd a) mu_1 = 0.
+  The mus and the bound depend on the reduced (a, c, p', q') only, not on b,
+  g or the signs, so this profile is memoized for the last 1,024 of them.
 
 The error bound covers the panel estimates, the rounding across panels, the
 tail remainder and the rounding of the Fourier coefficients and the rescaling.
@@ -42,6 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +71,10 @@ WORKING_DIGITS = 50
 _PERIOD = 2.0 * math.pi
 _LEVELS = 4  # antiderivative depth of the tail telescope
 _MAX_NODES = 6_000_000  # integrand evaluations for the whole head
+# Distinct reduced (a, c, p, q) kept by the period-profile memo.  An entry is
+# the key tuple, nested tuples of six floats and the cache's own link, about
+# 400 bytes, so a full memo holds about 0.4 MB.
+_PROFILE_CACHE_SIZE = 1024
 _EPS = float(np.finfo(float).eps)
 _PREC = libmp.dps_to_prec(WORKING_DIGITS)
 _RND = libmp.round_nearest
@@ -222,7 +229,8 @@ def _gk_pass(
     return float(vals.sum()), total_err + 64.0 * _EPS * magnitude
 
 
-def _period_profile(a: int, c: int, p: int, q: int):
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _period_profile(a: int, c: int, p: int, q: int) -> tuple[tuple[float, ...], float, float]:
     """Means of the iterated antiderivatives of g = sin^a(px) cos^c(qx) over a period.
 
     g has degree a*p + c*q < m/2, and the trapezoid rule on m points is exact
@@ -233,7 +241,10 @@ def _period_profile(a: int, c: int, p: int, q: int):
         G_K(x) = sum_(k!=0) c_k (e^(ikx) - 1) / (ik)^K,  |G_K| <= 4 sum_(k>=1) |c_k| / k^K.
 
     Returns (mus, max_last, mu_err): mu_1..mu_K, the bound on |G_K| (rounding
-    included) and a bound on the rounding error of each mu_j.
+    included) and a bound on the rounding error of each mu_j.  The profile
+    depends on the reduced (a, c, p, q) alone, with q = 0 when c = 0, so it is
+    memoized for the last _PROFILE_CACHE_SIZE of them and shared by every b,
+    common factor and sign; the result is immutable.
     """
     m = max(32, 1 << (2 * (a * p + c * q)).bit_length())
     x = np.arange(m) * (_PERIOD / m)
@@ -253,10 +264,10 @@ def _period_profile(a: int, c: int, p: int, q: int):
     coeff_err = 16.0 * m * _EPS
     mu_err = 2.0 * coeff_err * float(inv_k.sum())
     max_last = 4.0 * float(((np.abs(coeffs) + coeff_err) * _power(inv_k, _LEVELS)).sum())
-    return mus, max_last, mu_err
+    return tuple(mus), max_last, mu_err
 
 
-def _tail_value(b: int, mus: list[float], x: float) -> float:
+def _tail_value(b: int, mus: tuple[float, ...], x: float) -> float:
     total = 0.0
     if b >= 2:
         total += mus[0] * x ** (1 - b) / (b - 1)
@@ -273,7 +284,7 @@ def _tail_error(b: int, max_last: float, mu_err: float, periods: int) -> float:
     remainder = math.prod(range(b, b + _LEVELS)) * max_last / (b + _LEVELS - 1)
     remainder *= x ** (1 - b - _LEVELS)
     # The tail value is linear in the mus with positive weights.
-    return remainder + _tail_value(b, [mu_err] * _LEVELS, x)
+    return remainder + _tail_value(b, (mu_err,) * _LEVELS, x)
 
 
 def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> tuple[float, float]:
@@ -334,9 +345,12 @@ def quadrature(
     sign = -1 if params.p < 0 and a % 2 else 1
 
     # u = g*x gives I(a, b, c, g*p, g*q) = g^(b-1) * I(a, b, c, p, q); with
-    # q = 0, g = p.
+    # q = 0, g = p.  g^(b-1) >= 2^((b-1)(bits(g)-1)) overflows a double
+    # once that exponent reaches 1024, checked before the power is built.
     g = math.gcd(p, q)
     try:
+        if (b - 1) * (g.bit_length() - 1) >= 1024:
+            raise OverflowError
         scale = float(g ** (b - 1))
     except OverflowError:
         raise QuadratureError(f"frequency scale {g}^{b - 1} exceeds double range") from None

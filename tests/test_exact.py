@@ -1,5 +1,7 @@
 """Exact-core tests: binomial weights, factorization, and canonical value algebra."""
 
+import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -178,6 +180,37 @@ def test_nonprime_log_key_rejected():
         ExactValue(log_coeffs={6: Fraction(1)})
     with pytest.raises(ValueError):
         ExactValue(log_coeffs={1: Fraction(1)})
+
+
+def test_log_key_primality_agrees_with_a_sieve():
+    # The gcd with 2*3*...*41 and the first two rungs of the ladder decide every key here.
+    n = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    assert [k for k in range(-3, n) if exact._is_prime(k) != (k >= 0 and sieve[k] == 1)] == []
+
+
+def test_log_key_check_is_bounded():
+    # Each psi_k passes the first k Miller-Rabin bases and must be refused by a later one.
+    for _, psi in exact._MR_LADDER[:-1]:
+        with pytest.raises(ValueError, match=f"log basis entries must be prime, got {psi}$"):
+            ExactValue(log_coeffs={psi: 1})
+    # Trial division took 0.9 s on 10^14 + 31 and grows like the square root of
+    # the key; the ladder takes at most 13 modular powers, up to the largest
+    # prime below its limit.
+    for prime in (10**14 + 31, 2**61 - 1, 2**64 - 59, 3317044064679887385961813):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            value = parse_exact_value(f"1*ln({prime})")
+            elapsed.append(time.perf_counter() - start)
+        assert value.log_coeffs == {prime: 1}
+        assert min(elapsed) < 1e-3
+    for key in (exact._PRIME_LIMIT, 2**127 - 1):
+        with pytest.raises(ValueError, match=f"log basis entries must be below 3317044064679887385961981, got {key}$"):
+            ExactValue(log_coeffs={key: 1})
 
 
 # ---------------------------------------------------------------------------

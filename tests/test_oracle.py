@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -217,6 +218,15 @@ def test_quadrature_refuses_values_beyond_double_range():
     for params in (IntegralParams(300, 300, 1, 100, 99), IntegralParams(300, 300, 0, 1000, 0)):
         with pytest.raises(QuadratureError, match="double range"):
             quadrature(params, 1e-6)
+    # (10^40)^999998 has 4e7 digits: the scale is refused before it is built.
+    params = IntegralParams(10**6, 10**6 - 1, 0, 10**40, 0)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match=r"frequency scale 10{40}\^999998 exceeds double range"):
+            quadrature(params, 1e-6)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 1e-3
 
 
 def test_head_refuses_instead_of_refining(monkeypatch):
@@ -325,6 +335,42 @@ def test_period_profile_matches_product_expansion():
                     for L, s in sin.items():
                         last += float(s) * np.sin(L * xs)
                     assert np.abs(last).max() <= max_last, (a, c, p, q)
+
+
+def test_period_profile_is_computed_once_per_reduced_key():
+    # b, the common factor g and the signs leave the reduced (a, c, p', q') =
+    # (6, 2, 1, 2) of every case here, so the profile is computed once.
+    cases = [(6, b, 2, 2, 4) for b in range(2, 7)] + [(6, 3, 2, 1, 2), (6, 3, 2, -3, -6)]
+    oracle_module._period_profile.cache_clear()
+    for case in cases:
+        assert verify(IntegralParams(*case), 1e-6).passed, case
+    info = oracle_module._period_profile.cache_info()
+    assert (info.misses, info.hits) == (1, len(cases) - 1)
+    assert info.maxsize == oracle_module._PROFILE_CACHE_SIZE
+    mus, max_last, mu_err = oracle_module._period_profile(6, 2, 1, 2)
+    assert isinstance(mus, tuple) and len(mus) == oracle_module._LEVELS
+
+
+def test_memoized_profile_leaves_reports_bit_identical():
+    # Cold, every report computes its own profile; then the set runs twice
+    # without clearing, sharing profiles across b, g and signs, and the
+    # second pass takes every profile from the memo.
+    rng = random.Random(15)
+    cases = []
+    for _ in range(80):
+        a = rng.randint(2, 8)
+        g, sp, sq = rng.randint(1, 4), rng.choice((-1, 1)), rng.choice((-1, 1))
+        cases.append((a, rng.randint(2, a), rng.randint(0, 3), sp * g * rng.randint(1, 3), sq * g * rng.randint(0, 3)))
+    cold = []
+    for case in cases:
+        oracle_module._period_profile.cache_clear()
+        cold.append(repr(verify(IntegralParams(*case), 1e-6)))
+    oracle_module._period_profile.cache_clear()
+    shared = [repr(verify(IntegralParams(*case), 1e-6)) for case in cases]
+    misses = oracle_module._period_profile.cache_info().misses
+    warm = [repr(verify(IntegralParams(*case), 1e-6)) for case in cases]
+    assert shared == warm == cold
+    assert misses < len(cases) and oracle_module._period_profile.cache_info().misses == misses
 
 
 def test_error_bound_covers_true_error_on_sample():
