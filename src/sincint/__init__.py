@@ -9,11 +9,7 @@ against an independent fixed-pass quadrature of the raw integrand.
 """
 
 from .evaluator import evaluate, evaluate_integral
-from .exact import (
-    ExactValue,
-    parse_exact_value,
-    prime_factorization,
-)
+from .exact import ExactValue, parse_exact_value, prime_factorization
 from .identities import SweepRecord, SweepReport, boundary_identity_sum, identity_sweep
 from .oracle import (
     DEFAULT_TOL,
@@ -25,17 +21,7 @@ from .oracle import (
     verify,
 )
 from .params import DomainError, IntegralParams, validate_for_evaluation
-from .trig import (
-    TermKind,
-    TrigPoly,
-    TrigTerm,
-    cos_power_expand,
-    derivative_expansion,
-    product_expansion,
-    sin_power_expand,
-    spectrum,
-    trig_product,
-)
+from .trig import spectrum
 
 __version__ = "0.1.0"
 
@@ -48,24 +34,16 @@ __all__ = [
     "QuadratureError",
     "SweepRecord",
     "SweepReport",
-    "TermKind",
-    "TrigPoly",
-    "TrigTerm",
     "VerifyReport",
     "boundary_identity_sum",
-    "cos_power_expand",
-    "derivative_expansion",
     "evaluate",
     "evaluate_integral",
     "identity_sweep",
     "parse_exact_value",
     "prime_factorization",
-    "product_expansion",
     "quadrature",
-    "sin_power_expand",
     "spectrum",
     "to_decimal",
-    "trig_product",
     "validate_for_evaluation",
     "verify",
 ]

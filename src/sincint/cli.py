@@ -18,6 +18,7 @@ import re
 import sys
 
 from .evaluator import evaluate
+from .exact import _MAX_DIGITS
 from .identities import identity_sweep
 from .oracle import DEFAULT_TOL, MIN_TOL, _finite_or_none, to_decimal, verify
 from .params import DomainError, IntegralParams
@@ -44,7 +45,7 @@ def _json(record: dict) -> str:
 
 
 def _integer(text: str) -> int:
-    if _INTEGER.fullmatch(text) is None:
+    if _INTEGER.fullmatch(text) is None or len(text.lstrip("+-")) > _MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
     return int(text)
 
@@ -157,6 +158,8 @@ def _batch_line(text: str, *, allow_b1: bool) -> dict:
                 "error": f"expected 5 integers, got {len(fields)} fields"}
     if not all(map(_INTEGER.fullmatch, fields)):
         return {"status": "parse_error", "input": text, "error": "fields must be integers"}
+    if any(len(field.lstrip("+-")) > _MAX_DIGITS for field in fields):  # int() would refuse them
+        return {"status": "parse_error", "input": text, "error": f"fields must have at most {_MAX_DIGITS} digits"}
     a, b, c, p, q = map(int, fields)
     try:
         params = IntegralParams(a, b, c, p, q)

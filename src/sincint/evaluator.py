@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import ExactValue, prime_factorization
+from .exact import _DIGIT_BOUND, _MAX_DIGITS, ExactValue, _count_text, prime_factorization
 from .params import DomainError, IntegralParams, validate_for_evaluation
 from .trig import spectrum
 
@@ -26,8 +26,8 @@ __all__ = [
 # from its (a/2+1)(c/2+1) products and at most min(2 * products, max |L|) distinct |L|,
 # where max |L| = a|p'| + c|q'|.  Trial divisions, log case only: distinct * sqrt(max |L|).
 _MAX_TRIAL_DIVISIONS = 10**7
-# Bit operations: products * (a + c) + distinct * the bits of the largest summand
-# w * L^(b-1), plus in the log case a gcd of bits^2/512 per prime below max |L|.
+# Bit operations: products * (a + c) + distinct * the bits of the largest scaled summand
+# g^(b-1) w * L^(b-1), plus in the log case a gcd of bits^2/512 per prime below max |L|.
 _MAX_BIT_OPS = 10**9
 
 
@@ -49,7 +49,9 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     w * L^(b-1), which the boundary identity makes zero.  g^(b-1) and the
     rational prefactor are applied once, to the pi sum or per prime.
     p = 0 is the exact zero.  A case estimated to exceed _MAX_BIT_OPS or
-    _MAX_TRIAL_DIVISIONS raises DomainError before the spectrum is built.
+    _MAX_TRIAL_DIVISIONS raises DomainError before the spectrum is built, and
+    a value with a numerator or denominator of more than _MAX_DIGITS digits
+    raises DomainError instead of being returned.
     """
     validate_for_evaluation(params, allow_b1=allow_b1)
     a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
@@ -63,16 +65,17 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     omega = a * abs(p // g) + c * abs(q // g)  # max |L|
     products = (a // 2 + 1) * (c // 2 + 1)
     distinct = min(2 * products, omega)
-    bits = a + c + e * omega.bit_length()
+    bits = a + c + e * (omega.bit_length() + g.bit_length())
     work = products * (a + c) + distinct * bits
     if not same:  # 2x / x.bit_length() is within 30% of the number of primes below x
         work += min(distinct, 2 * omega // omega.bit_length()) * bits * bits >> 9
     if work > _MAX_BIT_OPS:
-        raise DomainError(f"bit operations <= {_MAX_BIT_OPS}", f"the closed form needs about {work} bit operations")
+        raise DomainError(f"bit operations <= {_MAX_BIT_OPS}",
+                          f"the closed form needs about {_count_text(work)} bit operations")
     cost = 0 if same else distinct * math.isqrt(omega)
     if cost > _MAX_TRIAL_DIVISIONS:
         raise DomainError(f"trial divisions <= {_MAX_TRIAL_DIVISIONS}",
-                          f"factoring the log arguments needs about {cost} trial divisions")
+                          f"factoring the log arguments needs about {_count_text(cost)} trial divisions")
     folded: dict[int, int] = {}
     for L, w in spectrum(a, c, p // g, q // g).items():
         if L > 0:
@@ -84,7 +87,7 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     if same:
         braced = sum(w * m**e for m, w in folded.items())
         sign = -1 if (b // 2) % 2 else 1
-        return ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator))
+        return _bounded(ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator)))
 
     logs: dict[int, int] = {}
     for m, w in folded.items():
@@ -93,9 +96,17 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
             for prime, exp in prime_factorization(m):
                 logs[prime] = logs.get(prime, 0) + (total if exp == 1 else exp * total)
     sign = -1 if ((b + 1) // 2) % 2 else 1
-    return ExactValue(
+    return _bounded(ExactValue(
         log_coeffs={prime: Fraction(sign * scale * n, denominator) for prime, n in logs.items()}
-    )
+    ))
+
+
+def _bounded(value: ExactValue) -> ExactValue:
+    for coeff in (value.pi_coeff, *value.log_coeffs.values()):
+        if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_BOUND:
+            raise DomainError(f"exact value digits <= {_MAX_DIGITS}",
+                              f"the closed form has a coefficient of more than {_MAX_DIGITS} digits")
+    return value
 
 
 def evaluate_integral(a: int, b: int, c: int, p: int, q: int, *, allow_b1: bool = False) -> ExactValue:

@@ -30,6 +30,18 @@ __all__ = [
 ]
 
 
+# Digits of an integer in text: CPython's default int/str limit, fixed here whatever
+# sys.set_int_max_str_digits says, so that parse_exact_value reads back every value
+# evaluate emits (it refuses larger ones) and every message can be printed.
+_MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**_MAX_DIGITS
+
+
+def _count_text(n: int) -> str:
+    """n >= 0 in decimal, or as about 10^k past the digit limit."""
+    return str(n) if n < _DIGIT_BOUND else f"10^{int(n.bit_length() * math.log10(2))}"
+
+
 # Distinct arguments kept by the factorization memo.  An entry is a key int,
 # a tuple of a few (prime, exponent) pairs and the cache's own link, about
 # 300 bytes, so a full memo holds about 1.2 MB.

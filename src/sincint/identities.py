@@ -6,8 +6,8 @@ derivative is a cosine polynomial, so evaluating it at pi with
 cos(L*pi) = (-1)^L turns that fact into a pure combinatorial zero-sum over
 the integer spectrum of the product, which this module evaluates exactly in
 big-integer arithmetic.  The certificate therefore checks the same spectrum
-that the closed-form evaluator reduces; the spectrum itself is checked
-against the independent TrigPoly product-to-sum route by the test suite.
+that the closed-form evaluator reduces; the test suite checks the spectrum
+itself against a product-to-sum reference that shares no formula with it.
 """
 
 from __future__ import annotations

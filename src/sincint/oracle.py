@@ -51,7 +51,7 @@ import numpy as np
 from mpmath import libmp
 
 from .evaluator import evaluate
-from .exact import ExactValue
+from .exact import ExactValue, _count_text
 from .params import IntegralParams, validate_for_evaluation
 
 __all__ = [
@@ -296,7 +296,7 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
     panels = 4 * (a * p + c * q)  # per period: none wider than a quarter oscillation
     max_periods = _MAX_NODES // (15 * panels)
     if not max_periods:
-        raise QuadratureError(f"one period needs {15 * panels} evaluations, budget is {_MAX_NODES}")
+        raise QuadratureError(f"one period needs {_count_text(15 * panels)} evaluations, budget is {_MAX_NODES}")
 
     def doubled(periods: int) -> int:
         if 2 * periods > max_periods:

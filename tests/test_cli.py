@@ -1,12 +1,18 @@
 """CLI tests: output formats, exit codes, batch behavior, selftest."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sincint.cli as cli
 import sincint.identities as identities
@@ -250,6 +256,107 @@ def test_big_integer_work_over_the_limit_is_a_domain_error(tmp_path, capsys):
     assert min(elapsed) < 1e-3
 
 
+# A coefficient of more than 4,300 digits: the denominator 2^1500 * 1500! of
+# I(1501, 1501, 0, 1, 0), and the scale (10^100)^49 of I(50, 50, 0, 10^100, 0).
+OVER_DIGITS = [["-a", "1501", "-b", "1501", "-c", "0", "-p", "1", "-q", "0"],
+               ["-a", "50", "-b", "50", "-c", "0", "-p", "1" + "0" * 100, "-q", "0"]]
+DIGITS_ERROR = "domain error: the closed form has a coefficient of more than 4300 digits [exact value digits <= 4300]\n"
+
+
+@pytest.mark.parametrize("args", OVER_DIGITS, ids=["denominator", "scale"])
+def test_values_over_the_digit_limit_are_domain_errors(args, capsys):
+    for command in ("eval", "verify"):
+        code, out, err = run_cli([command, *args], capsys)
+        assert (code, out, err) == (2, "", DIGITS_ERROR)
+    # The largest value below the limit still prints.
+    code, out, _ = run_cli(["eval", "-a", "1401", "-b", "1401", "-c", "0", "-p", "1", "-q", "0"], capsys)
+    assert code == 0 and len(out) == 8430
+
+
+def test_batch_keeps_going_past_over_long_values_and_fields(tmp_path, capsys):
+    path = tmp_path / "cases.txt"
+    long_field = "1" * 4301
+    path.write_text(f"2 2 0 1 0\n1501 1501 0 1 0\n50 50 0 1{'0' * 100} 0\n2 2 0 {long_field} 0\n3 2 0 1 0\n")
+    code, out, err = run_cli(["batch", str(path)], capsys)
+    assert code == 3 and err == ""
+    records = [strict_json(line) for line in out.splitlines()]
+    assert [r["status"] for r in records] == ["ok", "domain_error", "domain_error", "parse_error", "ok"]
+    assert records[1]["error"] == records[2]["error"] == "exact value digits <= 4300"
+    assert records[3] == {"status": "parse_error", "input": f"2 2 0 {long_field} 0",
+                          "error": "fields must have at most 4300 digits"}
+    assert records[4]["exact"] == "3/4*ln(3)"
+    assert cli._batch_line(f"2 2 0 -{'0' * 4300} 0", allow_b1=False)["status"] == "ok"
+
+
+def test_scale_counts_in_the_work_estimate(capsys):
+    # g^(b-1) = 10^8000000 is refused before any power is built.
+    start = time.perf_counter()
+    code, out, err = run_cli(["eval", "-a", "2001", "-b", "2001", "-c", "0", "-p", "1" + "0" * 4000, "-q", "0"], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err.endswith(" [bit operations <= 1000000000]\n")
+
+
+def test_estimates_past_the_digit_limit_still_print(capsys):
+    # The refusals of a 4,300-digit a and of a 4,299-digit coprime p name estimates
+    # of more than 4,300 digits, which str() alone would refuse.
+    code, out, err = run_cli(["eval", "-a", "1" * 4300, "-b", "2", "-c", "0", "-p", "1", "-q", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "domain error: the closed form needs about 10^12890 bit operations [bit operations <= 1000000000]\n"
+    code, out, err = run_cli(["verify", "-a", "2", "-b", "2", "-c", "1", "-p", "1" + "0" * 4297 + "1", "-q", "1"], capsys)
+    assert (code, err) == (5, "")
+    assert strict_json(out)["reason"] == "one period needs 10^4300 evaluations, budget is 6000000"
+
+
+def test_digit_limit_does_not_follow_the_interpreter_limit(capsys):
+    # The limit is the package's own: lifting CPython's int/str limit changes no refusal.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for args in OVER_DIGITS:
+            assert run_cli(["eval", *args], capsys) == (2, "", DIGITS_ERROR)
+        assert cli._batch_line(f"2 2 0 {'1' * 4301} 0", allow_b1=False)["status"] == "parse_error"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_SMALL = st.integers(-3, 12).map(str)
+_HUGE = st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(4000, 5000))
+_ANY_LENGTH = st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 5000))
+_SIGN = st.sampled_from(["", "+", "-"])
+_JUNK = st.sampled_from(["x", "1_0", "\u0663", "1.5", "0x10", "--1", "#", "nan"])
+
+
+def _signed(digits):
+    return st.builds(str.__add__, _SIGN, digits)
+
+
+# a, b and c are small or over 4,000 digits, so every admitted case is small and fast;
+# p and q take any length up to 5,000 digits.
+_CASE = st.tuples(*[_signed(st.one_of(_SMALL, _HUGE))] * 3,
+                  *[_signed(st.one_of(_SMALL, _ANY_LENGTH, st.integers(0, 10**30).map(str)))] * 2).map(" ".join)
+_TOKENS = st.lists(st.one_of(_JUNK, _signed(_SMALL), _signed(_ANY_LENGTH)), max_size=7).map(" \t".join)
+_LINE = st.one_of(_CASE, _CASE, _TOKENS, st.just("# comment 2 2 0 1 0"), st.just("   "))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_LINE, min_size=1, max_size=6), st.booleans(), st.sampled_from(["\n", "\r\n"]))
+def test_every_batch_line_gives_one_strict_record(lines, bom, newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cases.txt")
+        with open(path, "w", encoding="utf-8-sig" if bom else "utf-8", newline="") as fh:
+            fh.write(newline.join(lines) + newline)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["batch", path])
+    expected = [line for line in lines if line.strip() and not line.strip().startswith("#")]
+    records = [strict_json(line) for line in out.getvalue().splitlines()]
+    assert len(records) == len(expected)
+    assert {r["status"] for r in records} <= {"ok", "parse_error", "domain_error"}
+    assert code == (0 if all(r["status"] == "ok" for r in records) else 3)
+    assert err.getvalue() == ""
+
+
 def test_integer_fields_are_ascii_digits_only(tmp_path, capsys):
     # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
     path = tmp_path / "cases.txt"
@@ -260,7 +367,7 @@ def test_integer_fields_are_ascii_digits_only(tmp_path, capsys):
     assert first == {"status": "parse_error", "input": "3 2 0 1_0 0", "error": "fields must be integers"}
     assert second == {"status": "parse_error", "input": "3 2 0 \u0663 0", "error": "fields must be integers"}
     assert third["status"] == "ok" and (third["p"], third["q"]) == (1, 0)
-    for value in ("1_0", "\u0663", " 1", "1.0", ""):
+    for value in ("1_0", "\u0663", " 1", "1.0", "", "1" * 4301):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["eval", "-a", "3", "-b", "2", "-c", "0", "-p", value, "-q", "0"])
         assert excinfo.value.code == 1

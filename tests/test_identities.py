@@ -3,11 +3,11 @@
 import pytest
 
 import sincint.identities as identities_module
+from reference_trig import derivative, product_expansion, spectrum_derivative, value_at_pi
 from sincint import (
     DomainError,
     SweepRecord,
     boundary_identity_sum,
-    derivative_expansion,
     identity_sweep,
     spectrum,
 )
@@ -25,10 +25,10 @@ def test_heavy_tuple_with_derivative_cross_check():
     # Independent route: differentiate the product expansion term-wise ten
     # times and evaluate exactly at pi via cos(k*pi) = (-1)^k.
     assert boundary_identity_sum(12, 6, 7, 5, 10) == 0
-    poly = derivative_expansion(12, 6, 7, 5, 0)
+    poly = product_expansion(12, 6, 7, 5)
     for _ in range(10):
-        poly = poly.derivative()
-    assert poly.value_at_pi() == 0
+        poly = derivative(poly)
+    assert value_at_pi(poly) == 0
 
 
 def test_rejects_out_of_range_h():
@@ -131,7 +131,7 @@ def test_consistency_with_derivative_expansion_at_pi():
     ]
     for a, c, p, q, h in cases:
         assert boundary_identity_sum(a, c, p, q, h) == 0
-        assert derivative_expansion(a, c, p, q, h).value_at_pi() == 0
+        assert value_at_pi(spectrum_derivative(spectrum(a, c, p, q), a, c, h)) == 0
 
 
 def test_sign_factor_invariance_in_declared_cases():
@@ -158,3 +158,39 @@ def test_degenerate_frequencies_included():
     # p = 0 and/or q = 0 tuples stay exactly zero.
     for a, c, p, q, h in [(2, 0, 0, 0, 0), (4, 2, 0, 3, 2), (6, 2, 2, 0, 2), (5, 1, 0, 0, 3)]:
         assert boundary_identity_sum(a, c, p, q, h) == 0
+
+
+def test_identity_holds_for_every_frequency():
+    # Every key is L = (a-2i)p +- (c-2j)q with a weight that does not depend on p
+    # and q (next test), and every L has the parity of a p + c q.  So the boundary
+    # sum is (-1)^(a p + c q) P(p, q), P = sum of w L^h homogeneous of degree h in
+    # (p, q).  P(t, 1) = 0 at the h + 1 points t = 0..h makes every coefficient of P
+    # zero: the identity then holds for every integer p and q, not only in the swept
+    # box.  It is the finite-difference fact sum (-1)^i C(a, i) i^k = 0 for k < a
+    # (Graham, Knuth and Patashnik, Concrete Mathematics, eq. 5.42).
+    checks = 0
+    for a in range(2, 21):
+        for c in range(0, 7):
+            spectra = [spectrum(a, c, t, 1) for t in range(a - 1)]
+            for h in range(a % 2, a - 1, 2):
+                for t in range(h + 1):
+                    assert sum(w * L**h for L, w in spectra[t].items()) == 0, (a, c, t, h)
+                    checks += 1
+    assert checks == 5005
+
+
+def test_spectrum_weights_do_not_depend_on_the_frequencies():
+    # The premise above: decode each key as L = s p + t q at two (p, q) pairs where
+    # |s p| < q / 2, so no two (s, t) share an L, and compare the weights per (s, t).
+    def decoded(a, c, p, q):
+        weights = {}
+        for L, w in spectrum(a, c, p, q).items():
+            t = (L + q // 2) // q
+            s, rest = divmod(L - t * q, p)
+            assert rest == 0
+            weights[s, t] = w
+        return weights
+
+    for a in range(1, 21):
+        for c in range(0, 7):
+            assert decoded(a, c, 1, 10**4) == decoded(a, c, -7, 10**6 + 1), (a, c)

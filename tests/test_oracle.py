@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 import sincint.oracle as oracle_module
+from reference_trig import product_expansion
 from sincint import (
     DomainError,
     ExactValue,
     IntegralParams,
     QuadratureError,
-    TermKind,
     evaluate,
     evaluate_integral,
-    product_expansion,
     quadrature,
     to_decimal,
     verify,
@@ -308,10 +307,10 @@ def _profile_from_expansion(a, c, p, q):
     mu_(j+1) its mean and W_j = G_j - mu_(j+1).  From 0, cos(Lx) integrates to
     sin(Lx)/L and sin(Lx) to (1 - cos(Lx))/L.
     """
-    terms = product_expansion(a, c, p, q).terms
-    cos = {t.frequency: t.coeff for t in terms if t.kind is TermKind.COS}
+    f = product_expansion(a, c, p, q)
+    cos = {L: k for (kind, L), k in f.items() if kind == "cos"}
     mus = [cos.pop(0, Fraction(0))]  # the constant cos(0x)
-    sin = {t.frequency: t.coeff for t in terms if t.kind is TermKind.SIN}
+    sin = {L: s for (kind, L), s in f.items() if kind == "sin"}
     for _ in range(4):
         mus.append(sum((s / L for L, s in sin.items()), Fraction(0)))
         cos, sin = {L: -s / L for L, s in sin.items()}, {L: k / L for L, k in cos.items()}
