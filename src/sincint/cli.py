@@ -12,7 +12,6 @@ RFC 8259: a decimal outside double range is written as null.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -20,7 +19,7 @@ import sys
 from .evaluator import evaluate
 from .exact import _MAX_DIGITS
 from .identities import identity_sweep
-from .oracle import DEFAULT_TOL, MIN_TOL, _finite_or_none, to_decimal, verify
+from .oracle import _STRICT_JSON, DEFAULT_TOL, MIN_TOL, _finite_or_none, to_decimal, verify
 from .params import DomainError, IntegralParams
 
 EXIT_OK = 0
@@ -41,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _json(record: dict) -> str:
     """Strict JSON: a float outside double range becomes null."""
-    return json.dumps({key: _finite_or_none(value) for key, value in record.items()}, allow_nan=False)
+    return _STRICT_JSON.encode({key: _finite_or_none(value) for key, value in record.items()})
 
 
 def _integer(text: str) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import _DIGIT_BOUND, _MAX_DIGITS, ExactValue, _count_text, prime_factorization
+from .exact import ExactValue, _count_text, prime_factorization
 from .params import DomainError, IntegralParams, validate_for_evaluation
 from .trig import spectrum
 
@@ -87,7 +87,7 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     if same:
         braced = sum(w * m**e for m, w in folded.items())
         sign = -1 if (b // 2) % 2 else 1
-        return _bounded(ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator)))
+        return ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator))
 
     logs: dict[int, int] = {}
     for m, w in folded.items():
@@ -96,17 +96,9 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
             for prime, exp in prime_factorization(m):
                 logs[prime] = logs.get(prime, 0) + (total if exp == 1 else exp * total)
     sign = -1 if ((b + 1) // 2) % 2 else 1
-    return _bounded(ExactValue(
+    return ExactValue(
         log_coeffs={prime: Fraction(sign * scale * n, denominator) for prime, n in logs.items()}
-    ))
-
-
-def _bounded(value: ExactValue) -> ExactValue:
-    for coeff in (value.pi_coeff, *value.log_coeffs.values()):
-        if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_BOUND:
-            raise DomainError(f"exact value digits <= {_MAX_DIGITS}",
-                              f"the closed form has a coefficient of more than {_MAX_DIGITS} digits")
-    return value
+    )
 
 
 def evaluate_integral(a: int, b: int, c: int, p: int, q: int, *, allow_b1: bool = False) -> ExactValue:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
+from .params import DomainError
+
 RationalLike = Union[Fraction, int]
 
 __all__ = [
@@ -123,7 +125,9 @@ class ExactValue:
 
     Invariants (restored on construction): every log key is prime, no stored
     coefficient is zero, and the zero value has pi_coeff == 0 with an empty
-    map.  Instances are immutable; scale returns a new value.
+    map.  A numerator or denominator of more than _MAX_DIGITS digits raises
+    DomainError, so every value prints and parses back.  Instances are
+    immutable; scale returns a new value.
     """
 
     pi_coeff: Fraction = Fraction(0)
@@ -144,6 +148,10 @@ class ExactValue:
             if not _is_prime(prime):
                 raise ValueError(f"log basis entries must be prime, got {prime}")
             cleaned[prime] = coeff
+        for coeff in (self.pi_coeff, *cleaned.values()):
+            if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_BOUND:
+                raise DomainError(f"exact value digits <= {_MAX_DIGITS}",
+                                  f"the closed form has a coefficient of more than {_MAX_DIGITS} digits")
         object.__setattr__(self, "log_coeffs", cleaned)
 
     def scale(self, factor: RationalLike) -> "ExactValue":

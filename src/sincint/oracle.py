@@ -15,16 +15,21 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
   coprime, so sin^a(p'x) cos^c(q'x) has period 2pi and the panels start and
   end on period boundaries: every node is x = 2pi k + t for a node t of the
   first period, and every period, the first included, takes the one formula
-      (sin(p't) / x)^b * sin^(a-b)(p't) * cos^c(q't),
-  whose sines and cosines are sampled on the first period only.  The oracle
+      (sin(p't) / x)^b * sin^(a-b)(p't) * cos^c(q't).
+  Its sines and cosines are sampled on the first quarter period t <= pi/2
+  only: the panels are symmetric about pi/2 and pi, and sin(p't) and
+  sin^(a-b)(p't) cos^c(q't) at pi - t and 2pi - t are the quarter's values
+  times a sign fixed by the parities of p', q', a - b and c.  The oracle
   still samples only the raw integrand, and a trigonometric argument stays
-  below 2pi*omega, so its rounding does not grow with X;
+  below pi*omega/2, so its rounding does not grow with X;
 * tail [X, inf): one FFT of raw samples of the periodic part
   sin^a(px) cos^c(qx), a trigonometric polynomial, gives its Fourier
   coefficients, and from them in closed form the means mu_k of its iterated
   antiderivatives and a bound on the last one.  Integration by parts gives
       integral = mu_1 * X^(1-b)/(b-1) + mu_2 * X^-b + b*mu_3*X^(-b-1) + ...
   with a remainder that falls like X^-(b+3).  For b = 1 (odd a) mu_1 = 0.
+  The value and its bound are sums of terms c_i X^-k_i, built once per case:
+  doubling X multiplies term i by 2^-k_i.
   The mus and the bound depend on the reduced (a, c, p', q') only, not on b,
   g or the signs, so this profile is memoized for the last 1,024 of them.
 
@@ -76,6 +81,8 @@ _MAX_NODES = 6_000_000  # integrand evaluations for the whole head
 # 400 bytes, so a full memo holds about 0.4 MB.
 _PROFILE_CACHE_SIZE = 1024
 _EPS = float(np.finfo(float).eps)
+# Strict RFC 8259 output, shared by every JSON line: NaN and infinities raise.
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
 _PREC = libmp.dps_to_prec(WORKING_DIGITS)
 _RND = libmp.round_nearest
 _PI = libmp.mpf_pi(_PREC, _RND)
@@ -153,6 +160,7 @@ _WG = np.zeros(15)
 _WG[[1, 3, 5]] = _G7_WPOS
 _WG[7] = _G7_WZERO
 _WG[[9, 11, 13]] = _G7_WPOS[::-1]
+_W_STACKED = np.stack([_WK, _WK - _WG])  # rows: Kronrod, Kronrod minus Gauss
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
@@ -167,28 +175,49 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return np.ones_like(x) if result is None else result
 
 
+def _sign(n: int) -> float:
+    """(-1)^n."""
+    return -1.0 if n % 2 else 1.0
+
+
 def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
     """The raw integrand on the Gauss-Kronrod nodes of `panels` equal panels per period.
 
-    For coprime p and q (q = 0 when c = 0), sin^a(px) cos^c(qx) has period
+    For integers p and q (q = 0 when c = 0), sin^a(px) cos^c(qx) has period
     2pi and the panels start and end on period boundaries, so every node is
-    x = 2pi k + t_j for the nodes t_j of the first period.  The sines and
-    cosines are computed once, on the t_j, and every period k >= 0 takes the
-    one formula (sin(pt_j) / x)^b sin^(a-b)(pt_j) cos^c(qt_j): nothing
-    underflows near x = 0, which no node touches.
+    x = 2pi k + t_j for the nodes t_j of the first period, and every period
+    k >= 0 takes the one formula (sin(pt_j) / x)^b sin^(a-b)(pt_j) cos^c(qt_j):
+    nothing underflows near x = 0, which no node touches.
 
-    Returns (half, values): the panels' half-widths and values(k0, k1), the
-    integrand on the nodes of periods k0 <= k < k1, shaped (k1 - k0, panels, 15).
+    The sines and cosines are computed on the first quarter t <= pi/2 only,
+    which ends on a panel boundary since 4 divides `panels`.  The panels and
+    the Gauss-Kronrod nodes are symmetric, so the nodes of (pi/2, pi] are
+    pi - t and those of (pi, 2pi) are 2pi - t, in reverse order, and
+        sin(p(pi - t)) = (-1)^(p+1) sin(pt),   cos(q(pi - t)) = (-1)^q cos(qt),
+        sin(p(2pi - t)) = -sin(pt),            cos(q(2pi - t)) = cos(qt)
+    unfold sin(pt) and sin^(a-b)(pt) cos^c(qt) from the quarter by exact sign
+    flips.
+
+    Returns (half, values): the panels' common half-width pi / panels and
+    values(k0, k1), the integrand on the nodes of periods k0 <= k < k1, shaped
+    (k1 - k0, panels, 15).
     """
+    half = math.pi / panels
     edges = np.linspace(0.0, _PERIOD, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _NODES
-    # An overflow shows up as a non-finite error estimate, checked in _gk_pass.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sp = np.sin(p * t)
-        rest = _power(sp, a - b)
-        if c:
-            rest = rest * _power(np.cos(q * t), c)
+    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _NODES
+    n = t.size // 4
+    # Row 0 holds sin(pt), row 1 sin^(a-b)(pt) cos^c(qt), on every node of the period.
+    rows = np.empty((2, t.size))
+    quarter = t.ravel()[:n]
+    np.sin(p * quarter, out=rows[0, :n])
+    rows[1, :n] = _power(rows[0, :n], a - b)
+    if c:
+        rows[1, :n] *= _power(np.cos(q * quarter), c)
+    # Column 0 flips the rows about pi/2, column 1 about pi.
+    signs = np.array([[_sign(p + 1), -1.0], [_sign((p + 1) * (a - b) + q * c), _sign(a - b)]])
+    np.multiply(rows[:, n - 1 :: -1], signs[:, :1], out=rows[:, n : 2 * n])
+    np.multiply(rows[:, 2 * n - 1 :: -1], signs[:, 1:], out=rows[:, 2 * n :])
+    sp, rest = rows.reshape(2, panels, 15)
 
     def values(k0: int, k1: int) -> np.ndarray:
         x = np.add(_PERIOD * np.arange(k0, k1)[:, None, None], t)
@@ -200,7 +229,7 @@ def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
 
 
 def _gk_pass(
-    half: np.ndarray,
+    half: float,
     values: Callable[[int, int], np.ndarray],
     k0: int,
     k1: int,
@@ -208,17 +237,16 @@ def _gk_pass(
 ) -> tuple[float, float]:
     """One Gauss-Kronrod 15(7) pass over periods k0 <= k < k1: (estimate, bound).
 
-    The Kronrod error estimates |K15 - G7| must sum to at most tol / 2; the
-    returned bound adds the rounding accumulated across panels, 64 eps
-    sum |values|.  Overflow, a rounding floor above tol and an error estimate
-    over its budget are refused, not refined.
+    One product with the stacked weights gives each panel's Kronrod sum K15
+    and K15 - G7.  The Kronrod error estimates |K15 - G7| must sum to at most
+    tol / 2; the returned bound adds the rounding accumulated across panels,
+    64 eps sum |values|.  Overflow, a rounding floor above tol and an error
+    estimate over its budget are refused, not refined.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = values(k0, k1)
-        vals = half * (fx @ _WK)
-        errs = np.abs(vals - half * (fx @ _WG))
-    magnitude = float(np.abs(vals).sum())
-    total_err = float(errs.sum())
+        sums = _W_STACKED @ values(k0, k1).reshape(-1, 15).T
+        estimate = half * float(sums[0].sum())
+        magnitude, total_err = (half * np.abs(sums).sum(axis=1)).tolist()
     if not math.isfinite(total_err):
         raise QuadratureError("the integrand overflows double range")
     if 64.0 * _EPS * (magnitude - total_err) > tol:
@@ -226,7 +254,7 @@ def _gk_pass(
                               f"below the rounding floor {64.0 * _EPS:.1e}")
     if total_err > tol / 2.0:
         raise QuadratureError(f"the head's error estimate {total_err:.3e} exceeds its budget {tol / 2.0:.3e}")
-    return float(vals.sum()), total_err + 64.0 * _EPS * magnitude
+    return estimate, total_err + 64.0 * _EPS * magnitude
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -267,24 +295,28 @@ def _period_profile(a: int, c: int, p: int, q: int) -> tuple[tuple[float, ...], 
     return tuple(mus), max_last, mu_err
 
 
-def _tail_value(b: int, mus: tuple[float, ...], x: float) -> float:
-    total = 0.0
-    if b >= 2:
-        total += mus[0] * x ** (1 - b) / (b - 1)
-    coeff = 1.0
-    for k in range(2, _LEVELS + 1):
-        coeff *= b + k - 2
-        total += coeff * mus[k - 1] * x ** (2 - b - k) / (b + k - 2)
-    return total
+def _tail_terms(
+    b: int, mus: tuple[float, ...], max_last: float, mu_err: float
+) -> tuple[list[float], list[float], list[float]]:
+    """The tail's value and error bound at X = 2pi as sums of terms c_i X^-k_i, k_i = b - 1 + i.
 
+    Integration by parts gives term i of the value as w_i mu_(i+1) X^-k_i, with
+    w_0 = 1/(b-1) (no term for b = 1, where mu_1 = 0) and w_i = b(b+1)...(b+i-2)
+    for i >= 1, and bounds the remainder by w_K max_last X^-k_K.  The value is
+    linear in the mus with positive weights, so their rounding adds
+    w_i mu_err X^-k_i to the bound.
 
-def _tail_error(b: int, max_last: float, mu_err: float, periods: int) -> float:
-    """The tail's remainder bound plus the rounding of its mus, at X = periods * 2pi."""
-    x = periods * _PERIOD
-    remainder = math.prod(range(b, b + _LEVELS)) * max_last / (b + _LEVELS - 1)
-    remainder *= x ** (1 - b - _LEVELS)
-    # The tail value is linear in the mus with positive weights.
-    return remainder + _tail_value(b, (mu_err,) * _LEVELS, x)
+    Returns (value terms, bound terms, shrink): doubling X multiplies term i of
+    either by shrink[i] = 2^-k_i.
+    """
+    weights = [1.0 / (b - 1) if b >= 2 else 0.0, 1.0]
+    for i in range(2, _LEVELS + 1):
+        weights.append(weights[-1] * (b + i - 2))
+    powers = [_PERIOD**-k for k in range(b - 1, b + _LEVELS)]
+    value = [w * mu * x for w, mu, x in zip(weights, mus, powers)]
+    bound = [w * mu_err * x for w, x in zip(weights, powers)]
+    bound[-1] = weights[-1] * max_last * powers[-1]
+    return value, bound, [0.5**k for k in range(b - 1, b + _LEVELS)]
 
 
 def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> tuple[float, float]:
@@ -303,10 +335,14 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
             raise QuadratureError(f"the head needs {15 * panels * 2 * periods} evaluations, budget is {_MAX_NODES}")
         return 2 * periods
 
-    mus, max_last, mu_err = _period_profile(a, c, p, q)
+    def halved(terms: list[float]) -> list[float]:  # the terms at 2X
+        return [term * factor for term, factor in zip(terms, shrink)]
+
+    tail, tail_bound, shrink = _tail_terms(b, *_period_profile(a, c, p, q))
     periods = 1
-    while (tail_err := _tail_error(b, max_last, mu_err, periods)) > tol / 4.0:
+    while (tail_err := sum(tail_bound)) > tol / 4.0:
         periods = doubled(periods)
+        tail, tail_bound = halved(tail), halved(tail_bound)
 
     half, values = _sample_period(a, b, c, p, q, panels)
     head, head_err = _gk_pass(half, values, 0, periods, tol)
@@ -317,8 +353,9 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
         more, more_err = _gk_pass(half, values, periods, doubled(periods), tol - head_err)
         head, head_err = head + more, head_err + more_err
         periods *= 2
-        tail_err = _tail_error(b, max_last, mu_err, periods)
-    return head + _tail_value(b, mus, periods * _PERIOD), head_err + tail_err
+        tail, tail_bound = halved(tail), halved(tail_bound)
+        tail_err = sum(tail_bound)
+    return head + sum(tail), head_err + tail_err
 
 
 def quadrature(
@@ -399,7 +436,7 @@ class VerifyReport:
         return record
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), allow_nan=False)
+        return _STRICT_JSON.encode(self.to_json_dict())
 
 
 def _finite_or_none(x: object) -> object:

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sincint import (
+    DomainError,
     ExactValue,
     evaluate_integral,
     parse_exact_value,
@@ -242,6 +243,24 @@ def test_canonical_rendering(value, text):
 @given(_exact_values)
 def test_text_round_trip(value):
     assert parse_exact_value(str(value)) == value
+
+
+def test_values_past_the_digit_limit_are_refused():
+    # CPython's int/str conversion refuses more than 4,300 digits, so a value
+    # past the limit could neither print nor parse back: it is never built.
+    value = evaluate_integral(3, 3, 0, 1, 0)  # 3/8*pi
+    for factor in (10**4400, Fraction(1, 10**4400)):
+        with pytest.raises(DomainError, match="the closed form has a coefficient of more than 4300 digits") as info:
+            value.scale(factor)
+        assert info.value.constraint == "exact value digits <= 4300"
+    limit = 10**4300
+    for pi_coeff, logs in ((Fraction(limit), {}), (0, {2: Fraction(1, limit)}), (0, {3: Fraction(-limit, 7)})):
+        with pytest.raises(DomainError):
+            ExactValue(pi_coeff, logs)
+    # Just under the limit: 4,300-digit numerators and denominators round-trip.
+    under = ExactValue(Fraction(limit - 1, limit - 3), {2: Fraction(-(limit - 1)), 7: Fraction(1, limit - 1)})
+    assert parse_exact_value(str(under)) == under
+    assert parse_exact_value(str(value.scale(Fraction(limit - 1, 3)))) == value.scale(Fraction(limit - 1, 3))
 
 
 def test_parse_rejects_garbage():

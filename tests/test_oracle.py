@@ -1,5 +1,6 @@
 """Oracle tests: decimal rendering and direct quadrature of the integrand."""
 
+import itertools
 import math
 import random
 import time
@@ -235,8 +236,8 @@ def test_head_refuses_instead_of_refining(monkeypatch):
 
     def square_wave(*args):
         edges = np.linspace(0.0, 2.0 * math.pi, 9)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * oracle_module._NODES
+        half = math.pi / 8
+        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * oracle_module._NODES
         wave = np.sign(np.sin(7.3 * t))
 
         def values(k0, k1):
@@ -288,6 +289,55 @@ def test_head_passes_match_the_raw_integrand_period_by_period():
             head, bound = oracle_module._gk_pass(half, values, k0, k1, 1e-6)
             direct = _direct_head(a, b, c, p, q, k0, k1, np.float64)
             assert abs(head - direct) <= bound, (a, b, c, p, q, k0, k1)
+
+
+def _parity_cases():
+    """Every parity of p, q, a - b and c, and c = 0 with q = 0, at grid and high frequencies.
+
+    The sampler needs only integer p and q, so p and q may share a factor here.
+    """
+    cases = []
+    for (p_even, p_odd), (q_even, q_odd) in [((2, 3), (4, 1)), ((98, 101), (76, 75))]:
+        for p, (a, b) in itertools.product((p_even, p_odd), ((5, 3), (5, 2))):
+            cases += [(a, b, c, p, q) for c in (2, 3) for q in (q_even, q_odd)]
+            cases.append((a, b, 0, p, 0))
+    return cases
+
+
+def test_unfolded_period_matches_the_raw_integrand_node_by_node():
+    # The sampler takes its sines and cosines on a quarter period and unfolds
+    # them by sign flips; a wrong sign moves a value by twice its size.
+    cases = _parity_cases()
+    assert {(p % 2, q % 2, (a - b) % 2, c % 2) for a, b, c, p, q in cases if c} == set(
+        itertools.product((0, 1), repeat=4)
+    )
+    for a, b, c, p, q in cases:
+        panels = 4 * (a * p + c * q)
+        half, values = oracle_module._sample_period(a, b, c, p, q, panels)
+        assert half == math.pi / panels
+        edges = np.linspace(0.0, 2.0 * math.pi, panels + 1)
+        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * oracle_module._NODES
+        for k0, k1 in [(0, 1), (3, 5)]:
+            x = 2.0 * math.pi * np.arange(k0, k1)[:, None, None] + t
+            direct = (np.sin(p * x) / x) ** b * np.sin(p * x) ** (a - b) * np.cos(q * x) ** c
+            # Rounding p*x moves a value by about omega ulps of x * max |(sin(px)/x)^b|.
+            tol = 4 * (a * p + c * q) * np.spacing(x * np.minimum(p, 1.0 / x) ** b)
+            assert np.all(np.abs(values(k0, k1) - direct) <= tol), (a, b, c, p, q, k0, k1)
+
+
+def test_sampler_takes_sines_and_cosines_on_a_quarter_period(monkeypatch):
+    counts = {"sin": 0, "cos": 0}
+    for name in counts:
+
+        def counting(x, *args, _name=name, _ufunc=getattr(np, name), **kwargs):
+            counts[_name] += np.size(x)
+            return _ufunc(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    panels = 4 * (10 * 5 + 4 * 3)
+    half, values = oracle_module._sample_period(10, 2, 4, 5, 3, panels)
+    values(0, 4)
+    assert counts == {"sin": 15 * panels // 4, "cos": 15 * panels // 4}
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than double")
