@@ -101,7 +101,7 @@ def to_decimal(value: ExactValue) -> float:
     Each term coeff * pi or coeff * ln(rho) is rounded to the working
     precision (50 digits) and the terms are summed there, with no error
     control: a value whose terms cancel beyond 50 digits, as large-a log
-    values do, is rendered wrong (ROADMAP item 1).  The roundings are those
+    values do, is rendered wrong (ROADMAP item 2).  The roundings are those
     of mpmath's mpf arithmetic under workdps(WORKING_DIGITS).
     """
     total = libmp.fzero

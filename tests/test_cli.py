@@ -509,7 +509,7 @@ def test_verify_disagreement_exits_4(capsys, monkeypatch):
 
 
 def test_selftest_names_a_failing_identity_tuple(capsys, monkeypatch):
-    monkeypatch.setattr(identities, "_boundary_value", lambda weights, h: int(h == 1))
+    monkeypatch.setattr(identities, "_boundary_values", lambda weights, hs: [int(h == 1) for h in hs])
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 4
     assert "identity sweep: 44800 tuples, 4032 failures" in out

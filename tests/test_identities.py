@@ -1,6 +1,8 @@
 """Boundary-identity tests: exact zero sums and their cross-checks."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import sincint.identities as identities_module
 from reference_trig import derivative, product_expansion, spectrum_derivative, value_at_pi
@@ -66,12 +68,60 @@ def test_negative_frequencies_sum_to_zero():
 
 
 def test_sweep_reports_a_failing_tuple(monkeypatch):
-    # A stand-in boundary value that is nonzero at h = 1: only the a = 3 tuples fail.
-    monkeypatch.setattr(identities_module, "_boundary_value", lambda weights, h: int(h == 1))
+    # A stand-in kernel whose sum is nonzero at h = 1: only the a = 3 tuples fail.
+    monkeypatch.setattr(identities_module, "_boundary_values", lambda weights, hs: [int(h == 1) for h in hs])
     report = identity_sweep(3, 0, 1, 0)
     assert report.checked == 4
     assert not report.all_zero
     assert report.failures == (SweepRecord(3, 0, 0, 0, 1), SweepRecord(3, 0, 1, 0, 1))
+
+
+def per_h_sum(weights, h):
+    # (-1)^|L| keeps the sign an integer for negative L; Python's 0**0 is 1.
+    return sum((-1) ** abs(L) * w * L**h for L, w in weights.items())
+
+
+@given(
+    st.dictionaries(st.integers(-40, 40), st.integers(-10**30, 10**30), max_size=12),
+    st.integers(0, 1),
+    st.integers(0, 14),
+)
+@example({}, 0, 6)
+@example({0: 3, 1: -2, -2: 5, -7: 1}, 0, 8)
+@example({0: 3, 1: -2, -2: 5, -7: 1}, 1, 9)
+@example({0: 1}, 0, 0)
+def test_running_product_kernel_matches_per_h_sums(weights, h0, hmax):
+    # Keys of mixed parity and sign, the L = 0 key (0^0 = 1 at h = 0), the
+    # empty dict and empty ranges, starting at both h0 = 0 and h0 = 1.
+    hs = range(h0, hmax, 2)
+    assert identities_module._boundary_values(weights, hs) == [per_h_sum(weights, h) for h in hs]
+
+
+def test_sweep_failures_match_a_per_h_reference_on_perturbed_spectra(monkeypatch):
+    # For p >= 5 one weight is off by one, at the key L = p - 5: at p = 5 the L = 0
+    # weight, which only h = 0 sees; at p = 6 the odd key 1, whatever the parity of
+    # a p + c q.  The sweep must flag exactly the tuples a per-h sum flags.
+    def perturbed(a, c, p, q):
+        weights = spectrum(a, c, p, q)
+        if p >= 5:
+            weights[p - 5] = weights.get(p - 5, 0) + 1
+        return weights
+
+    monkeypatch.setattr(identities_module, "spectrum", perturbed)
+    expected = [
+        SweepRecord(a, c, p, q, h)
+        for a in range(2, 11)
+        for c in range(4)
+        for p in range(7)
+        for q in range(7)
+        for h in range(a % 2, a - 1, 2)
+        if per_h_sum(perturbed(a, c, p, q), h)
+    ]
+    report = identity_sweep(10, 3, 6, 6)
+    assert report.checked == 25 * 4 * 7 * 7
+    assert report.failures == tuple(expected)
+    assert {r.p for r in expected} == {5, 6}
+    assert {r.h for r in expected if r.p == 5} == {0}
 
 
 def test_sweep_small_bounds_all_pass():
@@ -81,9 +131,9 @@ def test_sweep_small_bounds_all_pass():
 
 
 def swept_tuples(monkeypatch, *bounds):
-    """Every tuple the sweep checks, in order: a boundary value that never
-    vanishes makes each one a failure."""
-    monkeypatch.setattr(identities_module, "_boundary_value", lambda weights, h: 1)
+    """Every tuple the sweep checks, in order: a kernel whose sums never
+    vanish makes each one a failure."""
+    monkeypatch.setattr(identities_module, "_boundary_values", lambda weights, hs: [1 for h in hs])
     report = identity_sweep(*bounds)
     tuples = [(r.a, r.c, r.p, r.q, r.h) for r in report.failures]
     assert len(tuples) == report.checked

@@ -100,7 +100,7 @@ def test_to_decimal_is_bit_identical_to_the_mpf_route():
     assert [to_decimal(v) for v in values[-3:]] == [math.inf, -math.inf, -math.inf]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_to_decimal_large_a_cancellation():
     # The log coefficients reach 4.7e147 and cancel far beyond 50 digits.  A
     # 1,200-digit mpmath sum of the same terms gives this double, and a
