@@ -4,9 +4,10 @@ Exit codes discriminate failure classes so scripts can branch on them:
 1 usage error, 2 domain error, 3 partial batch failure, 4 selftest failure or
 a verify disagreement, 5 a verify the oracle could not certify (the report
 carries a reason; this says nothing against the closed form).
---tol sets the verification tolerance (default DEFAULT_TOL); a value that is
-not a finite number no smaller than MIN_TOL exits 1.  JSON output is strict
-RFC 8259: a decimal outside double range is written as null.
+verify's --tol sets its tolerance (default DEFAULT_TOL); a value that is not
+a finite number no smaller than MIN_TOL exits 1.  verify and batch print JSON,
+as eval does with --format json; it is strict RFC 8259: a decimal outside
+double range is written as null.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from .evaluator import evaluate
 from .exact import _MAX_DIGITS
 from .identities import identity_sweep
-from .oracle import _STRICT_JSON, DEFAULT_TOL, MIN_TOL, _finite_or_none, to_decimal, verify
+from .oracle import DEFAULT_TOL, MIN_TOL, _json_line, to_decimal, verify
 from .params import DomainError, IntegralParams
 
 EXIT_OK = 0
@@ -36,11 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _json(record: dict) -> str:
-    """Strict JSON: a float outside double range becomes null."""
-    return _STRICT_JSON.encode({key: _finite_or_none(value) for key, value in record.items()})
 
 
 def _integer(text: str) -> int:
@@ -60,24 +56,20 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("-p", type=_integer, required=True, help="sine frequency (any sign)")
     params.add_argument("-q", type=_integer, required=True, help="cosine frequency (any sign)")
     params.add_argument("--allow-b1", action="store_true", help="accept b = 1 (odd a only)")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", default=DEFAULT_TOL, help=f"absolute tolerance (>= {MIN_TOL})")
 
     p_eval = sub.add_parser("eval", parents=[params], help="print the exact closed form and its decimal value")
     p_eval.add_argument("--format", choices=("plain", "json"), default="plain")
     p_eval.set_defaults(run=cmd_eval)
 
-    p_verify = sub.add_parser("verify", parents=[params, tol], help="cross-check the closed form against quadrature")
-    p_verify.add_argument("--format", choices=("plain", "json"), default="json")
+    p_verify = sub.add_parser("verify", parents=[params], help="cross-check the closed form against quadrature")
+    p_verify.add_argument("--tol", default=DEFAULT_TOL, help=f"absolute tolerance (>= {MIN_TOL})")
     p_verify.set_defaults(run=cmd_verify)
 
     p_batch = sub.add_parser("batch", help="evaluate one 'a b c p q' line per input row")
     p_batch.add_argument("input", help="file of whitespace-separated integers, # comments allowed")
-    p_batch.add_argument("--format", choices=("plain", "json"), default="json")
-    p_batch.add_argument("--allow-b1", action="store_true")
     p_batch.set_defaults(run=cmd_batch)
 
-    p_self = sub.add_parser("selftest", parents=[tol], help="run the identity sweep and an oracle grid")
+    p_self = sub.add_parser("selftest", help="run the identity sweep and an oracle grid")
     p_self.set_defaults(run=cmd_selftest)
     return parser
 
@@ -99,7 +91,7 @@ def cmd_eval(args) -> int:
     params = IntegralParams(args.a, args.b, args.c, args.p, args.q)
     record = _record(params, allow_b1=args.allow_b1)
     if args.format == "json":
-        print(_json(record))
+        print(_json_line(record))
     else:
         print(f"{record['exact']} = {record['decimal']!r}")
     return EXIT_OK
@@ -108,17 +100,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     params = IntegralParams(args.a, args.b, args.c, args.p, args.q)
     report = verify(params, args.tol, allow_b1=args.allow_b1)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        verdict = "PASS" if report.passed else "UNVERIFIABLE" if report.reason else "FAIL"
-        line = (
-            f"{report.exact} = {report.exact_decimal!r} vs oracle {report.oracle_estimate!r} "
-            f"(diff {report.abs_diff!r}, tol {report.tolerance!r}): {verdict}"
-        )
-        if report.reason:
-            line += f" ({report.reason})"
-        print(line)
+    print(report.to_json())
     if report.passed:
         return EXIT_OK
     return EXIT_UNVERIFIABLE if report.reason is not None else EXIT_SELFTEST
@@ -136,21 +118,14 @@ def cmd_batch(args) -> int:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        record = _batch_line(stripped, allow_b1=args.allow_b1)
+        record = _batch_line(stripped)
         if record.get("status") != "ok":
             any_failed = True
-        if args.format == "json":
-            print(_json(record))
-        else:
-            if record["status"] == "ok":
-                print(f"{record['a']} {record['b']} {record['c']} {record['p']} {record['q']} "
-                      f"-> {record['exact']} = {record['decimal']!r}")
-            else:
-                print(f"{record.get('input', stripped)} -> {record['status']}: {record['error']}")
+        print(_json_line(record))
     return EXIT_BATCH if any_failed else EXIT_OK
 
 
-def _batch_line(text: str, *, allow_b1: bool) -> dict:
+def _batch_line(text: str) -> dict:
     fields = text.split()
     if len(fields) != 5:
         return {"status": "parse_error", "input": text,
@@ -162,7 +137,7 @@ def _batch_line(text: str, *, allow_b1: bool) -> dict:
     a, b, c, p, q = map(int, fields)
     try:
         params = IntegralParams(a, b, c, p, q)
-        record = _record(params, allow_b1=allow_b1)
+        record = _record(params, allow_b1=False)
     except DomainError as exc:
         return {"a": a, "b": b, "c": c, "p": p, "q": q,
                 "status": "domain_error", "error": exc.constraint}
@@ -186,7 +161,7 @@ def cmd_selftest(args) -> int:
             for c in range(3):
                 for p in range(1, 3):
                     for q in range(3):
-                        report = verify(IntegralParams(a, b, c, p, q), args.tol)
+                        report = verify(IntegralParams(a, b, c, p, q), DEFAULT_TOL)
                         checked += 1
                         if not report.passed:
                             print(f"oracle grid: {checked} cases checked before failure")

@@ -203,7 +203,7 @@ def parse_exact_value(text: str) -> ExactValue:
     logs: dict[int, Fraction] = {}
     for token in tokens:
         m = _TERM_RE.match(token.strip())
-        if m is None:
+        if m is None or m[3] is not None and int(m[3]) == 0:  # a zero denominator is no rational
             raise ValueError(f"unparseable exact-value term: {token!r}")
         sign, num, den, unit, prime = m.groups()
         coeff = Fraction(int(num), int(den) if den else 1)

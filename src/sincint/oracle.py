@@ -81,7 +81,7 @@ _MAX_NODES = 6_000_000  # integrand evaluations for the whole head
 # 400 bytes, so a full memo holds about 0.4 MB.
 _PROFILE_CACHE_SIZE = 1024
 _EPS = float(np.finfo(float).eps)
-# Strict RFC 8259 output, shared by every JSON line: NaN and infinities raise.
+# Strict RFC 8259 output for _json_line: NaN and infinities raise.
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 _PREC = libmp.dps_to_prec(WORKING_DIGITS)
 _RND = libmp.round_nearest
@@ -358,6 +358,11 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
     return head + sum(tail), head_err + tail_err
 
 
+def _check_tol(tol: float) -> None:
+    if not MIN_TOL <= tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tolerance {tol!r} is not a finite number >= {MIN_TOL}, the double-precision oracle's floor")
+
+
 def quadrature(
     params: IntegralParams,
     tol: float = DEFAULT_TOL,
@@ -370,8 +375,7 @@ def quadrature(
     and the bound satisfies |true - estimate| <= error_bound <= tol.  Raises
     QuadratureError when the tolerance cannot be certified.
     """
-    if not MIN_TOL <= tol < math.inf:  # also rejects NaN
-        raise ValueError(f"tolerance {tol!r} is not a finite number >= {MIN_TOL}, the double-precision oracle's floor")
+    _check_tol(tol)
     validate_for_evaluation(params, allow_b1=allow_b1)
     a, b, c = params.a, params.b, params.c
     # The integrand depends on q only through |q| (not at all when c = 0),
@@ -416,7 +420,7 @@ class VerifyReport:
     passed: bool
     reason: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         record = {
             "a": self.params.a,
             "b": self.params.b,
@@ -424,24 +428,23 @@ class VerifyReport:
             "p": self.params.p,
             "q": self.params.q,
             "exact": str(self.exact),
-            "exact_decimal": _finite_or_none(self.exact_decimal),
-            "oracle": _finite_or_none(self.oracle_estimate),
-            "error_bound": _finite_or_none(self.oracle_error_bound),
-            "abs_diff": _finite_or_none(self.abs_diff),
+            "exact_decimal": self.exact_decimal,
+            "oracle": self.oracle_estimate,
+            "error_bound": self.oracle_error_bound,
+            "abs_diff": self.abs_diff,
             "tol": self.tolerance,
             "pass": self.passed,
         }
         if self.reason is not None:
             record["reason"] = self.reason
-        return record
-
-    def to_json(self) -> str:
-        return _STRICT_JSON.encode(self.to_json_dict())
+        return _json_line(record)
 
 
-def _finite_or_none(x: object) -> object:
-    """JSON has no Infinity or NaN; a float outside double range is null."""
-    return None if isinstance(x, float) and not math.isfinite(x) else x
+def _json_line(record: dict) -> str:
+    """Strict RFC 8259 JSON: a float outside double range is written as null."""
+    return _STRICT_JSON.encode(
+        {key: None if isinstance(value, float) and not math.isfinite(value) else value for key, value in record.items()}
+    )
 
 
 def verify(
@@ -454,8 +457,10 @@ def verify(
 
     The verdict is pass when |exact - oracle| <= tol + oracle error bound.
     A quadrature failure yields a failing report with the reason attached
-    rather than an exception.
+    rather than an exception.  A tolerance quadrature would refuse raises
+    ValueError before any evaluation.
     """
+    _check_tol(tol)
     exact = evaluate(params, allow_b1=allow_b1)
     exact_decimal = to_decimal(exact)
     estimate = bound = abs_diff = reason = None

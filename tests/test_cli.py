@@ -22,7 +22,10 @@ from sincint.exact import ExactValue
 
 
 def run_cli(argv, capsys):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's refusal of a malformed command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -83,6 +86,30 @@ def test_eval_b1_needs_flag(capsys):
     assert out.startswith("1/2*pi")
 
 
+def test_verify_b1_needs_flag(capsys):
+    args = ["verify", "-a", "3", "-b", "1", "-c", "0", "-p", "1", "-q", "0"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert "b >= 2" in err
+    code, out, _ = run_cli([*args, "--allow-b1"], capsys)
+    assert code == 0
+    record = strict_json(out)
+    assert record["exact"] == "1/4*pi" and record["pass"] is True
+
+
+def test_options_without_a_caller_are_usage_errors(tmp_path, capsys):
+    # verify and batch print JSON only, batch refuses b = 1 and selftest runs at the default tolerance.
+    path = tmp_path / "cases.txt"
+    path.write_text("1 1 0 1 0\n2 2 0 1 0\n")
+    for command, option in ((["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], "--format json"),
+                            (["batch", str(path)], "--format json"),
+                            (["batch", str(path)], "--allow-b1"),
+                            (["selftest"], "--tol 1e-6")):
+        code, out, err = run_cli([*command, *option.split()], capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: {option}\n")
+
+
 def test_malformed_flags_exit_usage(capsys):
     for argv in (["eval", "-a", "x", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], ["selftest", "--max-a", "3"]):
         with pytest.raises(SystemExit) as excinfo:
@@ -131,14 +158,17 @@ def test_tolerance_environment_variable_is_ignored(raw, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["verify", "selftest"])
 @pytest.mark.parametrize("tol", ["1e-10", "nan", "inf", "-1", "abc"])
 def test_invalid_tol_flag_is_a_usage_error(command, tol, capsys):
+    # verify refuses, in one line, a tolerance its oracle cannot certify; selftest
+    # takes no options, so its parser refuses every --tol after a usage line.
     argv = [command, "--tol", tol]
     if command == "verify":
         argv += ["-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "--tol" in err and tol in err
+    *usage, message = err.splitlines()
+    assert len(usage) == (0 if command == "verify" else 1)
+    assert "--tol" in message and tol in message
 
 
 def test_eval_json_out_of_double_range_is_null(capsys):
@@ -251,7 +281,7 @@ def test_big_integer_work_over_the_limit_is_a_domain_error(tmp_path, capsys):
     elapsed = []
     for _ in range(3):
         start = time.perf_counter()
-        assert cli._batch_line("100001 2 0 1 0", allow_b1=False)["status"] == "domain_error"
+        assert cli._batch_line("100001 2 0 1 0")["status"] == "domain_error"
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 1e-3
 
@@ -285,7 +315,7 @@ def test_batch_keeps_going_past_over_long_values_and_fields(tmp_path, capsys):
     assert records[3] == {"status": "parse_error", "input": f"2 2 0 {long_field} 0",
                           "error": "fields must have at most 4300 digits"}
     assert records[4]["exact"] == "3/4*ln(3)"
-    assert cli._batch_line(f"2 2 0 -{'0' * 4300} 0", allow_b1=False)["status"] == "ok"
+    assert cli._batch_line(f"2 2 0 -{'0' * 4300} 0")["status"] == "ok"
 
 
 def test_scale_counts_in_the_work_estimate(capsys):
@@ -315,7 +345,7 @@ def test_digit_limit_does_not_follow_the_interpreter_limit(capsys):
     try:
         for args in OVER_DIGITS:
             assert run_cli(["eval", *args], capsys) == (2, "", DIGITS_ERROR)
-        assert cli._batch_line(f"2 2 0 {'1' * 4301} 0", allow_b1=False)["status"] == "parse_error"
+        assert cli._batch_line(f"2 2 0 {'1' * 4301} 0")["status"] == "parse_error"
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -379,9 +409,10 @@ def test_integer_fields_are_ascii_digits_only(tmp_path, capsys):
 def test_batch_reads_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "cases.txt"
     path.write_bytes("\ufeff2 2 0 1 0\n3 2 0 1 0\n".encode("utf-8"))
-    code, out, _ = run_cli(["batch", str(path), "--format", "plain"], capsys)
+    code, out, _ = run_cli(["batch", str(path)], capsys)
     assert code == 0
-    assert out.splitlines()[0] == "2 2 0 1 0 -> 1/2*pi = 1.5707963267948966"
+    assert strict_json(out.splitlines()[0]) == {"a": 2, "b": 2, "c": 0, "p": 1, "q": 0,
+                                                "exact": "1/2*pi", "decimal": 1.5707963267948966, "status": "ok"}
 
 
 def test_batch_parse_error_reported_inline(tmp_path, capsys):
@@ -393,18 +424,6 @@ def test_batch_parse_error_reported_inline(tmp_path, capsys):
     assert first["status"] == "parse_error"
     assert second["status"] == "ok"
     assert third == {"status": "parse_error", "input": "1 2 x 4 5", "error": "fields must be integers"}
-
-
-def test_batch_plain_reports_every_status(tmp_path, capsys):
-    path = tmp_path / "cases.txt"
-    path.write_text("2 2 0 1 0\n2 3 0 1 0\n2 2 0 1\n")
-    code, out, _ = run_cli(["batch", str(path), "--format", "plain"], capsys)
-    assert code == 3
-    assert out.splitlines() == [
-        "2 2 0 1 0 -> 1/2*pi = 1.5707963267948966",
-        "2 3 0 1 0 -> domain_error: a >= b",
-        "2 2 0 1 -> parse_error: expected 5 integers, got 4 fields",
-    ]
 
 
 def test_batch_unreadable_file(tmp_path, capsys):
@@ -480,9 +499,6 @@ def test_verify_unverifiable_has_its_own_exit_code(capsys):
     assert record["pass"] is False
     assert record["oracle"] is None
     assert "rounding floor" in record["reason"]
-    code, out, _ = run_cli(["verify", *UNVERIFIABLE_ARGS, "--format", "plain"], capsys)
-    assert code == 5
-    assert ": UNVERIFIABLE (" in out
 
 
 def test_verify_overflow_keeps_stderr_clean():

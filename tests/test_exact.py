@@ -268,3 +268,23 @@ def test_parse_rejects_garbage():
         parse_exact_value("pi + 3")
     with pytest.raises(ValueError):
         parse_exact_value("1/2*log(3)")
+
+
+# Text in and near parse_exact_value's grammar: signed integers, "/", "*pi", "*ln(n)", " + " and " - "
+# joins, and junk terms, a 4,400-digit numerator among them.
+_SIGNED = st.builds(str.__add__, st.sampled_from(["", "+", "-"]), st.integers(0, 12).map(str))
+_RATIONAL = st.one_of(_SIGNED, st.builds("{}/{}".format, _SIGNED, _SIGNED))
+_JUNK_TERM = st.sampled_from(["", "-", "pi", "ln(2)", "x", "*", "1/*pi", "1e3*pi", "1//2*pi", "1*ln()",
+                              "9" * 4400 + "*pi"])
+_TERM = st.one_of(st.builds("{}*pi".format, _RATIONAL), st.builds("{}*ln({})".format, _RATIONAL, _SIGNED), _JUNK_TERM)
+_TEXT = st.builds(str.__add__, _TERM, st.lists(st.builds(str.__add__, st.sampled_from([" + ", " - "]), _TERM),
+                                               max_size=4).map("".join))
+
+
+@given(_TEXT)
+def test_parse_reads_back_or_raises_value_error(text):
+    try:
+        value = parse_exact_value(text)
+    except ValueError:
+        return
+    assert parse_exact_value(str(value)) == value

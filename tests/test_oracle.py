@@ -1,6 +1,7 @@
 """Oracle tests: decimal rendering and direct quadrature of the integrand."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -135,6 +136,17 @@ def test_quadrature_rejects_tolerance_below_floor():
             quadrature(IntegralParams(2, 2, 0, 1, 0), tol)
         with pytest.raises(ValueError):
             verify(IntegralParams(3, 2, 0, 1, 0), tol)
+
+
+def test_verify_checks_its_tolerance_before_evaluating(monkeypatch):
+    # The closed form of (100001, 2, 0, 1, 0) is over a work limit: a DomainError if evaluated.
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("verify evaluated before checking its tolerance")
+
+    monkeypatch.setattr(oracle_module, "evaluate", no_evaluation)
+    for tol in (1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"is not a finite number >= 1e-08, the double-precision oracle's floor"):
+            verify(IntegralParams(100001, 2, 0, 1, 0), tol)
 
 
 def test_quadrature_fails_loudly_on_tiny_budget(monkeypatch):
@@ -486,7 +498,7 @@ def test_verify_anchor_diff_small():
 
 def test_verify_report_json_schema():
     report = verify(IntegralParams(2, 2, 0, 1, 0), 1e-6)
-    record = report.to_json_dict()
+    record = json.loads(report.to_json())
     assert set(record) == {
         "a", "b", "c", "p", "q", "exact", "exact_decimal", "oracle",
         "error_bound", "abs_diff", "tol", "pass",
@@ -504,4 +516,4 @@ def test_verify_wraps_quadrature_failure(monkeypatch):
     assert not report.passed
     assert report.reason == "synthetic failure"
     assert report.oracle_estimate is None
-    assert report.to_json_dict()["reason"] == "synthetic failure"
+    assert json.loads(report.to_json())["reason"] == "synthetic failure"
