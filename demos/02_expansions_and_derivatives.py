@@ -1,11 +1,12 @@
 """Power reduction and exact derivatives of sin^a(px) cos^c(qx), read off its spectrum.
 
 The power-reduction formulas write 2^(a+c-1) sin^a(px) cos^c(qx) as a sum of
-w * trig(Lx) over integer frequencies L, with trig = cos for even a and sin
-for odd a; the constant is the cos(0x) term.  Everything is exact: the
-weights w are integers.  Differentiating h times multiplies each term by L^h
-and turns trig(Lx) into +-sin or +-cos, so the h-th derivative is the sum of
-w * L^h times a sine or cosine.
+w * trig(mx) over integer frequencies m >= 0, with trig = cos for even a and
+sin for odd a; the constant is the cos(0x) term, and an odd-a spectrum has
+no m = 0 key.  Everything is exact: the weights w are integers.
+Differentiating h times multiplies each term by m^h and turns trig(mx) into
++-sin or +-cos, so the h-th derivative is the sum of w * m^h times a sine or
+cosine.
 """
 
 import math
@@ -14,8 +15,7 @@ from sincint import spectrum
 
 
 def describe(weights, kind):
-    # sin(0x) = 0: an odd-a spectrum's L = 0 key contributes nothing.
-    return " + ".join(f"{w}*{kind}({L}x)" for L, w in sorted(weights.items()) if w and (L or kind == "cos")) or "0"
+    return " + ".join(f"{w}*{kind}({m}x)" for m, w in sorted(weights.items()) if w) or "0"
 
 
 def main():
@@ -28,15 +28,15 @@ def main():
     print(f"\nSpectrum of sin^{a}({p}x) cos^{c}({q}x): 2^{a + c - 1} times it is")
     print(f"  {describe(weights, 'sin')}")
 
-    print("\nIts h-th derivative, times 2^(a+c-1), has the weights w * L^h:")
+    print("\nIts h-th derivative, times 2^(a+c-1), has the weights w * m^h:")
     for h in range(0, 5):
         kind = "cos" if (a + h) % 2 == 0 else "sin"
         sign = "-" if (h + 1 - a % 2) // 2 % 2 else "+"
-        derived = {L: w * L**h for L, w in weights.items()}
+        derived = {m: w * m**h for m, w in weights.items()}
         print(f"  d^{h}: {sign}({describe(derived, kind)})")
 
     x = 0.7
-    drv = sum(w * L * math.cos(L * x) for L, w in weights.items()) / 2 ** (a + c - 1)
+    drv = sum(w * m * math.cos(m * x) for m, w in weights.items()) / 2 ** (a + c - 1)
     eps = 1e-6
     fd = (
         math.sin(p * (x + eps)) ** a * math.cos(q * (x + eps)) ** c

@@ -37,16 +37,14 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     The gcd g of the frequencies (g = |p| when c = 0) is divided out first:
     u = g x gives I(a, b, c, g p', g q') = g^(b-1) I(a, b, c, p', q'), so only
     the reduced frequencies are factored, whatever the size of g.  Both cases
-    reduce the spectrum {L: w} of sin^a(p'x) cos^c(q'x) (see trig.spectrum),
-    built from the signed p' and q': a negative p' negates every L of an
-    odd-a spectrum, which gives the factor sign(p)^a, and the sign of q' only
-    swaps equal weights.  The weights are summed per |L| first, with the sign
-    a negative L carries, so there is one power |L|^(b-1) per distinct |L|.
-    Same parity gives pi times the sum of w * sgn(L) * L^(b-1), in which
-    sgn(0) = 0 keeps 0^0 out when b = 1.  Opposite parity (a > b, so b >= 2)
-    gives the sum of w * L^(b-1) * ln|L|: each distinct |L| >= 2 is factored
-    once, and the ln g terms the reduction drops carry the sum of
-    w * L^(b-1), which the boundary identity makes zero.  g^(b-1) and the
+    reduce the canonical spectrum {m: w} of sin^a(p'x) cos^c(q'x) (see
+    trig.spectrum): its keys are |L| >= 0, and the sign of p' and of each
+    negative L is already in w, so there is one power m^(b-1) per key.
+    Same parity gives pi times the sum of w * m^(b-1): an odd-a spectrum has
+    no m = 0 key, and for even a, b >= 2 makes 0^(b-1) = 0.  Opposite parity
+    (a > b, so b >= 2) gives the sum of w * m^(b-1) * ln m: each m >= 2 is
+    factored once, and the ln g terms the reduction drops carry the sum of
+    w * m^(b-1), which the boundary identity makes zero.  g^(b-1) and the
     rational prefactor are applied once, to the pi sum or per prime.
     p = 0 is the exact zero.  A case estimated to exceed _MAX_BIT_OPS or
     _MAX_TRIAL_DIVISIONS raises DomainError before the spectrum is built, and
@@ -60,8 +58,6 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     g = math.gcd(p, q) if c else abs(p)
     e = b - 1
     same = (a - b) % 2 == 0
-    # at L = -m the summand sgn(L) L^e (same parity) or L^e (opposite) is flip * m^e
-    flip = -1 if (e + same) % 2 else 1
     omega = a * abs(p // g) + c * abs(q // g)  # max |L|
     products = (a // 2 + 1) * (c // 2 + 1)
     distinct = min(2 * products, omega)
@@ -76,21 +72,16 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     if cost > _MAX_TRIAL_DIVISIONS:
         raise DomainError(f"trial divisions <= {_MAX_TRIAL_DIVISIONS}",
                           f"factoring the log arguments needs about {_count_text(cost)} trial divisions")
-    folded: dict[int, int] = {}
-    for L, w in spectrum(a, c, p // g, q // g).items():
-        if L > 0:
-            folded[L] = folded.get(L, 0) + w
-        elif L < 0:
-            folded[-L] = folded.get(-L, 0) + flip * w
+    weights = spectrum(a, c, p // g, q // g)
     scale = g**e
     denominator = 2 ** (a + c - 1) * math.factorial(e)
     if same:
-        braced = sum(w * m**e for m, w in folded.items())
+        braced = sum(w * m**e for m, w in weights.items())
         sign = -1 if (b // 2) % 2 else 1
         return ExactValue(pi_coeff=Fraction(sign * scale * braced, 2 * denominator))
 
     logs: dict[int, int] = {}
-    for m, w in folded.items():
+    for m, w in weights.items():
         if m > 1 and w:
             total = w * m**e
             for prime, exp in prime_factorization(m):

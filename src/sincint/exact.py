@@ -184,7 +184,7 @@ class ExactValue:
         return "".join(pieces)
 
 
-_TERM_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?\*(pi|ln\((\d+)\))$")
+_TERM_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?\*(pi|ln\(([0-9]+)\))$")
 
 
 def parse_exact_value(text: str) -> ExactValue:

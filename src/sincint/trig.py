@@ -1,11 +1,11 @@
 """The integer frequency spectrum of sin^a(px) cos^c(qx).
 
 The power-reduction formulas for sin^a and cos^c, multiplied out, write
-2^(a+c-1) sin^a(px) cos^c(qx) as a sum of w * trig(L x) over integer
-frequencies L: the only binomial power reduction in the package.  The closed
-forms, the boundary identity and the tests' derivative cross-checks all
-reduce it; the tests compare it against a product-to-sum reference that
-shares no formula with it.
+2^(a+c-1) sin^a(px) cos^c(qx) as a sum of w * trig(m x), m = |L| over the
+frequencies L = (a-2i)p +- (c-2j)q: the package's only binomial power
+reduction, and its only closed-form use of sin(-u) = -sin(u).  The closed
+forms and the boundary identity reduce it; the tests compare it against a
+product-to-sum reference that shares no formula with it.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ __all__ = ["spectrum"]
 
 
 def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
-    """Integer frequency spectrum of 2^(a+c-1) sin^a(px) cos^c(qx).
+    """Canonical integer frequency spectrum of 2^(a+c-1) sin^a(px) cos^c(qx).
 
-    Returns {L: w} with 2^(a+c-1) sin^a(px) cos^c(qx) = sum of w * trig(L x),
-    where trig is cos for even a and sin for odd a.  The frequencies are
-    (a-2i)p +- (c-2j)q, signed, so p and q may have either sign; weights of
-    equal L are summed.  The L = 0 key is kept: for even a and c it holds
-    the product's constant term, and every closed-form consumer reads it
-    through 0^0 = 1 or drops it through sgn(0) = 0.
+    Returns {m: w}, every m >= 0, with 2^(a+c-1) sin^a(px) cos^c(qx) = sum of
+    w * trig(m x), where trig is cos for even a and sin for odd a.  p and q
+    may have either sign: a negative p multiplies every weight by (-1)^a, q
+    enters as |q|, and L = f - g < 0 is stored at g - f with weight (-1)^a w;
+    weights of equal m are summed.  For even a and c the m = 0 key holds the
+    constant term; an odd-a spectrum has no m = 0 key, as sin(0 x) = 0.
     """
     if a < 1:
         raise DomainError("a >= 1", f"the spectrum needs a >= 1, got {a}")
@@ -31,7 +31,10 @@ def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
         raise DomainError("c >= 0", f"the spectrum needs c >= 0, got {c}")
     # Binomials by C(n, i+1) = C(n, i)(n-i)/(i+1), not math.comb.  The loops end with
     # binom_a = C(a, a/2) for even a and binom_c = C(c, c/2) for even c: the constants.
-    sign_a = -1 if (a // 2) % 2 else 1
+    # Every odd-a term has one sine factor, so sign(p)^a rides on the sine weights.
+    fold = -1 if a % 2 else 1
+    sign_a = (-1 if (a // 2) % 2 else 1) * (fold if p < 0 else 1)
+    p, q = abs(p), abs(q)
     sines, binom_a = [], 1
     for i in range((a + 1) // 2):
         sines.append(((a - 2 * i) * p, sign_a * (-1 if i % 2 else 1) * binom_a))
@@ -53,5 +56,10 @@ def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
         for g, v in cosines:
             w = u * v
             weights[f + g] = weights.get(f + g, 0) + w
-            weights[f - g] = weights.get(f - g, 0) + w
+            if f < g:
+                weights[g - f] = weights.get(g - f, 0) + fold * w
+            else:
+                weights[f - g] = weights.get(f - g, 0) + w
+    if a % 2:
+        weights.pop(0, None)
     return weights

@@ -387,6 +387,37 @@ def test_every_batch_line_gives_one_strict_record(lines, bom, newline):
     assert err.getvalue() == ""
 
 
+_A_B = st.integers(1, 30).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a + 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_A_B, st.integers(0, 8), st.integers(-60, 60), st.integers(-60, 60),
+       st.sampled_from([["eval"], ["eval", "--format", "json"], ["verify"]]), st.booleans())
+def test_eval_and_verify_exit_with_one_clean_output(a_b, c, p, q, command, allow_b1):
+    # Well-formed commands of small magnitude, both frequency signs: a value, a
+    # domain error or an unverifiable report, never a disagreement (exit 4).
+    a, b = a_b
+    argv = command + ["-a", str(a), "-b", str(b), "-c", str(c), "-p", str(p), "-q", str(q)]
+    argv += ["--allow-b1"] * allow_b1
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 5), argv
+    assert err.getvalue().count("\n") == (code == 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        return
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    line = text[:-1]
+    if command == ["eval"]:
+        exact, _, decimal = line.partition(" = ")
+        assert str(parse_exact_value(exact)) == exact
+        assert repr(float(decimal)) == decimal
+    else:
+        assert isinstance(strict_json(line), dict)
+
+
 def test_integer_fields_are_ascii_digits_only(tmp_path, capsys):
     # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
     path = tmp_path / "cases.txt"

@@ -270,6 +270,14 @@ def test_parse_rejects_garbage():
         parse_exact_value("1/2*log(3)")
 
 
+def test_parse_rejects_non_ascii_digits():
+    # int() reads any Unicode decimal digit; the grammar is ASCII only.
+    for digit in ("\u0663", "\uff13"):  # ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT THREE
+        for text in (f"{digit}*pi", f"1/{digit}*pi", f"1*ln({digit})"):
+            with pytest.raises(ValueError):
+                parse_exact_value(text)
+
+
 # Text in and near parse_exact_value's grammar: signed integers, "/", "*pi", "*ln(n)", " + " and " - "
 # joins, and junk terms, a 4,400-digit numerator among them.
 _SIGNED = st.builds(str.__add__, st.sampled_from(["", "+", "-"]), st.integers(0, 12).map(str))

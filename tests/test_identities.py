@@ -58,8 +58,8 @@ def test_rejects_negative_c():
 
 
 def test_negative_frequencies_sum_to_zero():
-    # The spectrum of sin^a(-px) cos^c(qx) is that of sin^a(px) cos^c(qx) with
-    # every L negated, and L % 2 and L^h hold for negative L: every sum is 0.
+    # The spectrum of sin^a(-px) cos^c(qx) is that of sin^a(px) cos^c(qx) times
+    # (-1)^a, and a negative q enters as |q|: every sum is 0.
     for a in range(2, 9):
         for c in range(0, 4):
             for p, q in [(-1, 0), (0, -2), (-1, 1), (2, -3), (-3, -5), (-7, 4)]:
@@ -211,8 +211,9 @@ def test_degenerate_frequencies_included():
 
 
 def test_identity_holds_for_every_frequency():
-    # Every key is L = (a-2i)p +- (c-2j)q with a weight that does not depend on p
-    # and q (next test), and every L has the parity of a p + c q.  So the boundary
+    # Every term is L = (a-2i)p +- (c-2j)q with a weight that does not depend on p
+    # and q (next test), and every L has the parity of a p + c q.  A key m = -L
+    # carries w (-1)^a and (-1)^a m^h = L^h, as h = a (mod 2).  So the boundary
     # sum is (-1)^(a p + c q) P(p, q), P = sum of w L^h homogeneous of degree h in
     # (p, q).  P(t, 1) = 0 at the h + 1 points t = 0..h makes every coefficient of P
     # zero: the identity then holds for every integer p and q, not only in the swept
@@ -230,17 +231,22 @@ def test_identity_holds_for_every_frequency():
 
 
 def test_spectrum_weights_do_not_depend_on_the_frequencies():
-    # The premise above: decode each key as L = s p + t q at two (p, q) pairs where
-    # |s p| < q / 2, so no two (s, t) share an L, and compare the weights per (s, t).
+    # The premise above: decode each key as m = s p + t q at two positive (p, q) pairs
+    # where |s p| < q / 2, so no two (s, t) share an m, and compare the weights per
+    # (s, t).  Every term has s = a - 2i >= 0, so a key that decodes to s < 0 is a
+    # folded L = -m < 0: it is the term (-s, -t), with its weight times (-1)^a.
     def decoded(a, c, p, q):
         weights = {}
-        for L, w in spectrum(a, c, p, q).items():
-            t = (L + q // 2) // q
-            s, rest = divmod(L - t * q, p)
+        for m, w in spectrum(a, c, p, q).items():
+            t = (m + q // 2) // q
+            s, rest = divmod(m - t * q, p)
             assert rest == 0
+            if s < 0:
+                s, t, w = -s, -t, (-1) ** a * w
+            assert (s, t) not in weights
             weights[s, t] = w
         return weights
 
     for a in range(1, 21):
         for c in range(0, 7):
-            assert decoded(a, c, 1, 10**4) == decoded(a, c, -7, 10**6 + 1), (a, c)
+            assert decoded(a, c, 1, 10**4) == decoded(a, c, 7, 10**6 + 1), (a, c)

@@ -62,7 +62,8 @@ def test_sin_power_requires_positive_exponent():
 
 
 def test_expansions_take_either_frequency_sign_and_reject_negative_cos_exponent():
-    # sin(-u) = -sin(u) and cos(-u) = cos(u): a negative frequency negates odd sine powers only.
+    # sin(-u) = -sin(u) and cos(-u) = cos(u): a negative frequency negates odd sine powers only,
+    # in the reference and in the spectrum's weights, whose keys stay m = |L|.
     for e in range(0, 7):
         for f in range(0, 5):
             assert product_expansion(0, e, 0, -f) == product_expansion(0, e, 0, f)
@@ -70,7 +71,7 @@ def test_expansions_take_either_frequency_sign_and_reject_negative_cos_exponent(
             flipped = {key: sign * k for key, k in product_expansion(e, 0, f, 0).items()}
             assert product_expansion(e, 0, -f, 0) == flipped
             if e:
-                assert spectrum(e, 0, -f, 0) == {-L: w for L, w in spectrum(e, 0, f, 0).items()}
+                assert spectrum(e, 0, -f, 0) == {m: sign * w for m, w in spectrum(e, 0, f, 0).items()}
     with pytest.raises(DomainError):
         spectrum(1, -1, 1, 1)
 
@@ -222,6 +223,19 @@ def test_spectrum_matches_product_expansion():
                     scale = 2 ** (a + c - 1)
                     from_spectrum = poly((kind, L, Fraction(w, scale)) for L, w in spectrum(*args).items())
                     assert from_spectrum == product_expansion(*args), args
+
+
+@given(st.integers(1, 20), st.integers(0, 6), st.integers(-40, 40), st.integers(-40, 40))
+def test_spectrum_is_canonical_and_obeys_the_sign_law(a, c, p, q):
+    weights = spectrum(a, c, p, q)
+    assert all(m >= 0 for m in weights)
+    if a % 2:
+        assert 0 not in weights  # sin(0x) = 0
+    assert spectrum(a, c, -p, q) == {m: (-1) ** a * w for m, w in weights.items()}
+    assert spectrum(a, c, p, -q) == weights
+    kind = "cos" if a % 2 == 0 else "sin"
+    scale = 2 ** (a + c - 1)
+    assert poly((kind, m, Fraction(w, scale)) for m, w in weights.items()) == product_expansion(a, c, p, q)
 
 
 def test_spectrum_binomials_at_large_exponents():
