@@ -13,14 +13,13 @@ double range is written as null.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
 from .evaluator import evaluate
 from .exact import _MAX_DIGITS
 from .identities import identity_sweep
-from .oracle import DEFAULT_TOL, MIN_TOL, _json_line, to_decimal, verify
+from .oracle import DEFAULT_TOL, MIN_TOL, _check_tol, _json_line, to_decimal, verify
 from .params import DomainError, IntegralParams
 
 EXIT_OK = 0
@@ -175,14 +174,13 @@ def cmd_selftest(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if "tol" in args:
+        text = args.tol
         try:
-            tol = float(args.tol)
+            args.tol = float(text)
+            _check_tol(args.tol)
         except ValueError:
-            tol = math.nan
-        if not MIN_TOL <= tol < math.inf:
-            print(f"usage error: --tol {args.tol!r} is not a finite number >= {MIN_TOL}", file=sys.stderr)
+            print(f"usage error: --tol {text!r} is not a finite number >= {MIN_TOL}", file=sys.stderr)
             return EXIT_USAGE
-        args.tol = tol
     try:
         return args.run(args)
     except DomainError as exc:

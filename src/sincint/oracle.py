@@ -28,8 +28,8 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
   antiderivatives and a bound on the last one.  Integration by parts gives
       integral = mu_1 * X^(1-b)/(b-1) + mu_2 * X^-b + b*mu_3*X^(-b-1) + ...
   with a remainder that falls like X^-(b+3).  For b = 1 (odd a) mu_1 = 0.
-  The value and its bound are sums of terms c_i X^-k_i, built once per case:
-  doubling X multiplies term i by 2^-k_i.
+  The value and its bound are evaluated at the current X, for each doubling
+  of the periods that sizes the tail or extends the head.
   The mus and the bound depend on the reduced (a, c, p', q') only, not on b,
   g or the signs, so this profile is memoized for the last 1,024 of them.
 
@@ -81,14 +81,15 @@ _MAX_NODES = 6_000_000  # integrand evaluations for the whole head
 # 400 bytes, so a full memo holds about 0.4 MB.
 _PROFILE_CACHE_SIZE = 1024
 _EPS = float(np.finfo(float).eps)
+_HEAD_ROUNDING = 64.0 * _EPS  # the head's rounding bound per unit of sum |values|
 # Strict RFC 8259 output for _json_line: NaN and infinities raise.
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 _PREC = libmp.dps_to_prec(WORKING_DIGITS)
 _RND = libmp.round_nearest
 _PI = libmp.mpf_pi(_PREC, _RND)
-# ln(rho) at the working precision, filled on first use: one entry of about
-# 150 bytes per distinct prime rendered in this process.
-_LN: dict[int, tuple] = {}
+# Distinct primes kept by the logarithm memo, every prime below 8,161.  An entry is
+# the key int, a 169-bit mpf tuple and the cache's link: about 320 bytes, 0.33 MB full.
+_LN_CACHE_SIZE = 1024
 
 
 class QuadratureError(RuntimeError):
@@ -108,11 +109,14 @@ def to_decimal(value: ExactValue) -> float:
     if value.pi_coeff:
         total = _add_term(total, value.pi_coeff, _PI)
     for prime, coeff in value.log_coeffs.items():
-        ln = _LN.get(prime)
-        if ln is None:
-            ln = _LN[prime] = libmp.mpf_log(libmp.from_int(prime), _PREC, _RND)
-        total = _add_term(total, coeff, ln)
+        total = _add_term(total, coeff, _ln(prime))
     return libmp.to_float(total, rnd=_RND)
+
+
+@lru_cache(maxsize=_LN_CACHE_SIZE)
+def _ln(prime: int) -> tuple:
+    """ln(prime) at the working precision, memoized for the last _LN_CACHE_SIZE primes."""
+    return libmp.mpf_log(libmp.from_int(prime), _PREC, _RND)
 
 
 def _add_term(total: tuple, coeff: Fraction, constant: tuple) -> tuple:
@@ -240,8 +244,8 @@ def _gk_pass(
     One product with the stacked weights gives each panel's Kronrod sum K15
     and K15 - G7.  The Kronrod error estimates |K15 - G7| must sum to at most
     tol / 2; the returned bound adds the rounding accumulated across panels,
-    64 eps sum |values|.  Overflow, a rounding floor above tol and an error
-    estimate over its budget are refused, not refined.
+    _HEAD_ROUNDING * sum |values|.  Overflow, a rounding floor above tol and
+    an error estimate over its budget are refused, not refined.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _W_STACKED @ values(k0, k1).reshape(-1, 15).T
@@ -249,12 +253,12 @@ def _gk_pass(
         magnitude, total_err = (half * np.abs(sums).sum(axis=1)).tolist()
     if not math.isfinite(total_err):
         raise QuadratureError("the integrand overflows double range")
-    if 64.0 * _EPS * (magnitude - total_err) > tol:
+    if _HEAD_ROUNDING * (magnitude - total_err) > tol:
         raise QuadratureError(f"the tolerance needs relative precision {tol / magnitude:.1e}, "
-                              f"below the rounding floor {64.0 * _EPS:.1e}")
+                              f"below the rounding floor {_HEAD_ROUNDING:.1e}")
     if total_err > tol / 2.0:
         raise QuadratureError(f"the head's error estimate {total_err:.3e} exceeds its budget {tol / 2.0:.3e}")
-    return estimate, total_err + 64.0 * _EPS * magnitude
+    return estimate, total_err + _HEAD_ROUNDING * magnitude
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -295,35 +299,29 @@ def _period_profile(a: int, c: int, p: int, q: int) -> tuple[tuple[float, ...], 
     return tuple(mus), max_last, mu_err
 
 
-def _tail_terms(
-    b: int, mus: tuple[float, ...], max_last: float, mu_err: float
-) -> tuple[list[float], list[float], list[float]]:
-    """The tail's value and error bound at X = 2pi as sums of terms c_i X^-k_i, k_i = b - 1 + i.
+def _tail(b: int, mus: tuple[float, ...], max_last: float, mu_err: float, periods: int) -> tuple[float, float]:
+    """The tail over [X, inf) at X = 2pi * periods: (value, error bound).
 
-    Integration by parts gives term i of the value as w_i mu_(i+1) X^-k_i, with
-    w_0 = 1/(b-1) (no term for b = 1, where mu_1 = 0) and w_i = b(b+1)...(b+i-2)
+    Integration by parts gives the value as sum_i w_i mu_(i+1) X^-k_i, k_i = b - 1 + i,
+    with w_0 = 1/(b-1) (no term for b = 1, where mu_1 = 0) and w_i = b(b+1)...(b+i-2)
     for i >= 1, and bounds the remainder by w_K max_last X^-k_K.  The value is
-    linear in the mus with positive weights, so their rounding adds
-    w_i mu_err X^-k_i to the bound.
-
-    Returns (value terms, bound terms, shrink): doubling X multiplies term i of
-    either by shrink[i] = 2^-k_i.
+    linear in the mus with positive weights, so their rounding adds w_i mu_err X^-k_i
+    to the bound.  X^-k is (2pi)^-k times periods^-k, exact for a power of two.
     """
     weights = [1.0 / (b - 1) if b >= 2 else 0.0, 1.0]
     for i in range(2, _LEVELS + 1):
         weights.append(weights[-1] * (b + i - 2))
-    powers = [_PERIOD**-k for k in range(b - 1, b + _LEVELS)]
-    value = [w * mu * x for w, mu, x in zip(weights, mus, powers)]
+    powers = [_PERIOD**-k * periods**-k for k in range(b - 1, b + _LEVELS)]
     bound = [w * mu_err * x for w, x in zip(weights, powers)]
     bound[-1] = weights[-1] * max_last * powers[-1]
-    return value, bound, [0.5**k for k in range(b - 1, b + _LEVELS)]
+    return sum(w * mu * x for w, mu, x in zip(weights, mus, powers)), sum(bound)
 
 
 def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> tuple[float, float]:
     """(estimate, error bound) of the integral for p > 0 and q >= 0.
 
-    The tail takes at most tol / 4 and the head's Kronrod estimates tol / 2;
-    the caller checks the total against tol.
+    The tail, read at the final X = 2pi * periods, takes at most tol / 4 and
+    the head's Kronrod estimates tol / 2; the caller checks the total against tol.
     """
     panels = 4 * (a * p + c * q)  # per period: none wider than a quarter oscillation
     max_periods = _MAX_NODES // (15 * panels)
@@ -335,27 +333,22 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
             raise QuadratureError(f"the head needs {15 * panels * 2 * periods} evaluations, budget is {_MAX_NODES}")
         return 2 * periods
 
-    def halved(terms: list[float]) -> list[float]:  # the terms at 2X
-        return [term * factor for term, factor in zip(terms, shrink)]
-
-    tail, tail_bound, shrink = _tail_terms(b, *_period_profile(a, c, p, q))
+    profile = _period_profile(a, c, p, q)
     periods = 1
-    while (tail_err := sum(tail_bound)) > tol / 4.0:
+    while (tail := _tail(b, *profile, periods))[1] > tol / 4.0:
         periods = doubled(periods)
-        tail, tail_bound = halved(tail), halved(tail_bound)
 
     half, values = _sample_period(a, b, c, p, q, panels)
     head, head_err = _gk_pass(half, values, 0, periods, tol)
     # The head's rounding can leave the tail less than its quarter of tol.
     # The tail bound falls like X^-(b+3), so extending the head over [X, 2X]
     # restores the room unless the rounding alone is too large.
-    while head_err < tol < head_err + tail_err:
-        more, more_err = _gk_pass(half, values, periods, doubled(periods), tol - head_err)
+    while head_err < tol < head_err + tail[1]:
+        k0, periods = periods, doubled(periods)
+        more, more_err = _gk_pass(half, values, k0, periods, tol - head_err)
         head, head_err = head + more, head_err + more_err
-        periods *= 2
-        tail, tail_bound = halved(tail), halved(tail_bound)
-        tail_err = sum(tail_bound)
-    return head + sum(tail), head_err + tail_err
+        tail = _tail(b, *profile, periods)
+    return head + tail[0], head_err + tail[1]
 
 
 def _check_tol(tol: float) -> None:

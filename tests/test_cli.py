@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sincint.cli as cli
 import sincint.identities as identities
+import sincint.oracle as oracle
 from sincint import IntegralParams, evaluate, parse_exact_value
 from sincint.oracle import VerifyReport
 from sincint.exact import ExactValue
@@ -169,6 +170,20 @@ def test_invalid_tol_flag_is_a_usage_error(command, tol, capsys):
     *usage, message = err.splitlines()
     assert len(usage) == (0 if command == "verify" else 1)
     assert "--tol" in message and tol in message
+
+
+@pytest.mark.parametrize("tol", ["1e-8", "0.00000001", "9.999999999999999e-09", "1e300", "inf", "nan", "-0.0"])
+def test_cli_and_library_accept_the_same_tolerances(tol, capsys):
+    # p = 0 makes the case instant; 1e-8 is MIN_TOL itself and is accepted.
+    code, out, err = run_cli(["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "0", "-q", "0", "--tol", tol], capsys)
+    try:
+        oracle._check_tol(float(tol))
+    except ValueError:
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+    else:
+        assert code == 0
+        assert json.loads(out)["tol"] == float(tol)
+    assert (code == 0) == (tol in {"1e-8", "0.00000001", "1e300"})
 
 
 def test_eval_json_out_of_double_range_is_null(capsys):

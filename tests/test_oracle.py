@@ -101,6 +101,16 @@ def test_to_decimal_is_bit_identical_to_the_mpf_route():
     assert [to_decimal(v) for v in values[-3:]] == [math.inf, -math.inf, -math.inf]
 
 
+def test_to_decimal_is_unchanged_after_the_log_memo_evicts_its_primes():
+    value = ExactValue(Fraction(1, 3), {2: Fraction(-5, 8), 7919: Fraction(7, 3)})
+    first = to_decimal(value)
+    for n in range(10**6, 10**6 + oracle_module._LN_CACHE_SIZE):  # any integer has a logarithm
+        oracle_module._ln(n)
+    misses = oracle_module._ln.cache_info().misses
+    assert to_decimal(value) == first
+    assert oracle_module._ln.cache_info().misses == misses + 2  # both primes were evicted
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_to_decimal_large_a_cancellation():
     # The log coefficients reach 4.7e147 and cancel far beyond 50 digits.  A
@@ -432,6 +442,39 @@ def test_memoized_profile_leaves_reports_bit_identical():
     warm = [repr(verify(IntegralParams(*case), 1e-6)) for case in cases]
     assert shared == warm == cold
     assert misses < len(cases) and oracle_module._period_profile.cache_info().misses == misses
+
+
+def _tail_reference(b, mus, max_last, mu_err, periods):
+    """The tail's value, bound and sum of |value terms| at 50 digits from the same float inputs."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(oracle_module._PERIOD) * periods
+        weights = [1 / mpmath.mpf(b - 1) if b >= 2 else 0] + [mpmath.rf(b, i - 1) for i in range(1, 5)]
+        terms = [w * mu * x ** -(b - 1 + i) for i, (w, mu) in enumerate(zip(weights, mus))]
+        bound = sum(w * mu_err * x ** -(b - 1 + i) for i, w in enumerate(weights[:4]))
+        bound += weights[4] * max_last * x ** -(b + 3)
+        return sum(terms), bound, sum(abs(term) for term in terms)
+
+
+def test_tail_matches_the_series_at_50_digits():
+    # Odd a, so b = 1 is in the family; the profile's mu_1 is then rounding only.
+    mus, max_last, mu_err = oracle_module._period_profile(7, 1, 2, 1)
+    for b, periods in itertools.product((1, 2, 3, 7), (1, 4, 64)):
+        value, bound = oracle_module._tail(b, mus, max_last, mu_err, periods)
+        ref_value, ref_bound, magnitude = _tail_reference(b, mus, max_last, mu_err, periods)
+        assert abs(value - ref_value) <= 4 * oracle_module._EPS * magnitude, (b, periods)
+        assert abs(bound - ref_bound) <= 4 * oracle_module._EPS * ref_bound, (b, periods)
+
+
+def test_tail_bound_falls_with_the_periods_and_b_one_has_no_mean_term():
+    mus, max_last, mu_err = oracle_module._period_profile(5, 2, 1, 3)
+    for b in (1, 2, 3, 7):
+        bounds = [oracle_module._tail(b, mus, max_last, mu_err, 2**j)[1] for j in range(17)]
+        assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:])), b
+    shifted = (1e300,) + mus[1:]
+    for periods in (1, 4, 64):
+        tail = oracle_module._tail(1, mus, max_last, mu_err, periods)
+        assert oracle_module._tail(1, shifted, max_last, mu_err, periods) == tail
+        assert oracle_module._tail(2, shifted, max_last, mu_err, periods)[0] != tail[0]
 
 
 def test_error_bound_covers_true_error_on_sample():
