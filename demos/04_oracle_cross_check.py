@@ -1,8 +1,9 @@
 """Cross-validation of the closed forms against direct numerical quadrature.
 
 The oracle never sees the expansions: it integrates the raw integrand with
-one fixed Gauss-Kronrod pass plus a periodic-mean tail correction, and
-returns a certified error bound alongside the estimate.  Agreement within
+one fixed Gauss-Legendre pass, whose error has a proven bound, plus a
+periodic-mean tail correction, and returns a certified error bound alongside
+the estimate.  Agreement within
 tolerance on both parity cases is the end-to-end check of the evaluator.
 """
 

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .params import DomainError
@@ -127,7 +128,8 @@ class ExactValue:
     coefficient is zero, and the zero value has pi_coeff == 0 with an empty
     map.  A numerator or denominator of more than _MAX_DIGITS digits raises
     DomainError, so every value prints and parses back.  Instances are
-    immutable; scale returns a new value.
+    immutable, log_coeffs a read-only view, and hashable; scale returns a new
+    value.
     """
 
     pi_coeff: Fraction = Fraction(0)
@@ -152,7 +154,14 @@ class ExactValue:
             if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_BOUND:
                 raise DomainError(f"exact value digits <= {_MAX_DIGITS}",
                                   f"the closed form has a coefficient of more than {_MAX_DIGITS} digits")
-        object.__setattr__(self, "log_coeffs", cleaned)
+        object.__setattr__(self, "log_coeffs", MappingProxyType(cleaned))
+
+    def __hash__(self) -> int:
+        return hash((self.pi_coeff, tuple(self.log_coeffs.items())))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the constructor rebuilds it.
+        return ExactValue, (self.pi_coeff, dict(self.log_coeffs))
 
     def scale(self, factor: RationalLike) -> "ExactValue":
         """Multiply every coefficient by an exact rational factor."""

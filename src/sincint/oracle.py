@@ -6,15 +6,15 @@ never touches the closed forms or the trigonometric expansions.  With
 g = gcd(p, q) (g = p when c = 0), u = g*x gives I(a, b, c, g*p', g*q') =
 g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
 
-* head [0, X]: one Gauss-Kronrod 15(7) pass over equal panels no wider than
+* head [0, X]: one Gauss-Legendre 15 pass over equal panels no wider than
   a quarter oscillation, whose nodes never touch the removable point x = 0.
-  The integrand is entire of exponential type omega = a*p + c*q and the
-  panels are no wider than pi/(2 omega), so the Gauss error sits far below
-  double rounding: the pass is not refined, and a head whose error estimate
-  exceeds its share of tol is refused.  After the gcd reduction p' and q' are
-  coprime, so sin^a(p'x) cos^c(q'x) has period 2pi and the panels start and
-  end on period boundaries: every node is x = 2pi k + t for a node t of the
-  first period, and every period, the first included, takes the one formula
+  The integrand is entire of exponential type omega = a*p + c*q and bounded
+  by p^b on the real line, so the Gauss error has an a-priori bound (see
+  _GL15_PERIOD_ERROR) far below double rounding: the pass is never refined.
+  After the gcd reduction p' and q' are coprime, so sin^a(p'x) cos^c(q'x)
+  has period 2pi and the panels start and end on period boundaries: every
+  node is x = 2pi k + t for a node t of the first period, and every period,
+  the first included, takes the one formula
       (sin(p't) / x)^b * sin^(a-b)(p't) * cos^c(q't).
   Its sines and cosines are sampled on the first quarter period t <= pi/2
   only: the panels are symmetric about pi/2 and pi, and sin(p't) and
@@ -33,7 +33,7 @@ g^(b-1) * I(a, b, c, p', q'); the reduced integral is split at X = N * 2pi:
   The mus and the bound depend on the reduced (a, c, p', q') only, not on b,
   g or the signs, so this profile is memoized for the last 1,024 of them.
 
-The error bound covers the panel estimates, the rounding across panels, the
+The error bound covers the Gauss error, the rounding across panels, the
 tail remainder and the rounding of the Fourier coefficients and the rescaling.
 A request that cannot be certified fails loudly, early where that is certain.
 One node budget bounds the whole head: a period that alone exceeds it is
@@ -131,40 +131,40 @@ def _add_term(total: tuple, coeff: Fraction, constant: tuple) -> tuple:
     return libmp.mpf_add(total, term, _PREC, _RND)
 
 
-# Gauss-Kronrod 15(7) abscissae and weights (positive half, descending).
-_GK_POS = np.array([
-    0.9914553711208126392068546975263285,
-    0.9491079123427585245261896840478513,
-    0.8648644233597690727897127886409262,
-    0.7415311855993944398638647732807884,
-    0.5860872354676911302941448382587296,
-    0.4058451513773971669066064120769615,
-    0.2077849550078984676006894037732449,
+# Gauss-Legendre 15 abscissae and weights (positive half, descending), the
+# roots x of P_15 and 2 / ((1 - x^2) P_15'(x)^2).
+_GL_POS = np.array([
+    0.9879925180204854284895657185866126,
+    0.9372733924007059043077589477102095,
+    0.8482065834104272162006483207742169,
+    0.7244177313601700474161860546139380,
+    0.5709721726085388475372267372539106,
+    0.3941513470775633698972073709810455,
+    0.2011940939974345223006283033945962,
 ])
-_GK_WPOS = np.array([
-    0.0229353220105292249637320080589695,
-    0.0630920926299785532907006631892042,
-    0.1047900103222501838398763225415180,
-    0.1406532597155259187451895905102379,
-    0.1690047266392679028265834265985503,
-    0.1903505780647854099132564024210137,
-    0.2044329400752988924141619992346491,
+_GL_WPOS = np.array([
+    0.0307532419961172683546283935772044,
+    0.0703660474881081247092674164506673,
+    0.1071592204671719350118695466858693,
+    0.1395706779261543144478047945110283,
+    0.1662692058169939335532008604812088,
+    0.1861610000155622110268005618664228,
+    0.1984314853271115764561183264438393,
 ])
-_GK_WZERO = 0.2094821410847278280129991748917143
-_G7_WPOS = np.array([
-    0.1294849661688696932706114326790820,
-    0.2797053914892766679014677714237796,
-    0.3818300505051189449503697754889751,
-])
-_G7_WZERO = 0.4179591836734693877551020408163265
+_GL_WZERO = 0.2025782419255612728806201999675193
 
-_NODES = np.concatenate([-_GK_POS, [0.0], _GK_POS[::-1]])
-_WK = np.concatenate([_GK_WPOS, [_GK_WZERO], _GK_WPOS[::-1]])
-_WG = np.zeros(15)
-_WG[[1, 3, 5]] = _G7_WPOS
-_WG[7] = _G7_WZERO
-_WG[[9, 11, 13]] = _G7_WPOS[::-1]
-_W_STACKED = np.stack([_WK, _WK - _WG])  # rows: Kronrod, Kronrod minus Gauss
+_NODES = np.concatenate([-_GL_POS, [0.0], _GL_POS[::-1]])
+_WEIGHTS = np.concatenate([_GL_WPOS, [_GL_WZERO], _GL_WPOS[::-1]])
+
+# The 15-point Gauss error on a panel of width h is h^31 (15!)^4 / (31 (30!)^3)
+# times f^(30) somewhere in the panel (Abramowitz & Stegun 25.4.30).  The head
+# integrand (sin(p'x)/x)^b sin^(a-b)(p'x) cos^c(q'x) is entire of exponential
+# type omega = a*p' + c*q' and bounded by p'^b on the real line, so Bernstein's
+# inequality gives |f^(30)| <= omega^30 p'^b (Boas, Entire Functions, 1954,
+# ch. 11).  A period has 4 omega panels of width pi/(2 omega), so its Gauss
+# error is at most this constant times p'^b: 2pi C15, with
+# C15 = (pi/2)^30 (15!)^4 / (31 (30!)^3) ~ 3.87e-45.
+_GL15_PERIOD_ERROR = _PERIOD * (math.pi / 2.0) ** 30 * (math.factorial(15) ** 4 / (31 * math.factorial(30) ** 3))
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
@@ -185,7 +185,7 @@ def _sign(n: int) -> float:
 
 
 def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
-    """The raw integrand on the Gauss-Kronrod nodes of `panels` equal panels per period.
+    """The raw integrand on the Gauss-Legendre nodes of `panels` equal panels per period.
 
     For integers p and q (q = 0 when c = 0), sin^a(px) cos^c(qx) has period
     2pi and the panels start and end on period boundaries, so every node is
@@ -195,7 +195,7 @@ def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
 
     The sines and cosines are computed on the first quarter t <= pi/2 only,
     which ends on a panel boundary since 4 divides `panels`.  The panels and
-    the Gauss-Kronrod nodes are symmetric, so the nodes of (pi/2, pi] are
+    the Gauss-Legendre nodes are symmetric, so the nodes of (pi/2, pi] are
     pi - t and those of (pi, 2pi) are 2pi - t, in reverse order, and
         sin(p(pi - t)) = (-1)^(p+1) sin(pt),   cos(q(pi - t)) = (-1)^q cos(qt),
         sin(p(2pi - t)) = -sin(pt),            cos(q(2pi - t)) = cos(qt)
@@ -232,33 +232,25 @@ def _sample_period(a: int, b: int, c: int, p: int, q: int, panels: int):
     return half, values
 
 
-def _gk_pass(
-    half: float,
-    values: Callable[[int, int], np.ndarray],
-    k0: int,
-    k1: int,
-    tol: float,
-) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) pass over periods k0 <= k < k1: (estimate, bound).
+def _head_pass(half: float, values: Callable[[int, int], np.ndarray], k0: int, k1: int,
+               tol: float, period_error: float) -> tuple[float, float]:
+    """One Gauss-Legendre 15 pass over periods k0 <= k < k1: (estimate, bound).
 
-    One product with the stacked weights gives each panel's Kronrod sum K15
-    and K15 - G7.  The Kronrod error estimates |K15 - G7| must sum to at most
-    tol / 2; the returned bound adds the rounding accumulated across panels,
-    _HEAD_ROUNDING * sum |values|.  Overflow, a rounding floor above tol and
-    an error estimate over its budget are refused, not refined.
+    One product with the weights gives each panel's sum.  The bound adds the
+    Gauss error, period_error per period, to the rounding accumulated across
+    panels, _HEAD_ROUNDING * sum |panel sums|.  Overflow and a rounding floor
+    above tol are refused.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _W_STACKED @ values(k0, k1).reshape(-1, 15).T
-        estimate = half * float(sums[0].sum())
-        magnitude, total_err = (half * np.abs(sums).sum(axis=1)).tolist()
-    if not math.isfinite(total_err):
+        sums = values(k0, k1).reshape(-1, 15) @ _WEIGHTS
+        estimate = half * float(sums.sum())
+        magnitude = half * float(np.abs(sums).sum())
+    if not math.isfinite(magnitude):
         raise QuadratureError("the integrand overflows double range")
-    if _HEAD_ROUNDING * (magnitude - total_err) > tol:
+    if _HEAD_ROUNDING * magnitude > tol:
         raise QuadratureError(f"the tolerance needs relative precision {tol / magnitude:.1e}, "
                               f"below the rounding floor {_HEAD_ROUNDING:.1e}")
-    if total_err > tol / 2.0:
-        raise QuadratureError(f"the head's error estimate {total_err:.3e} exceeds its budget {tol / 2.0:.3e}")
-    return estimate, total_err + _HEAD_ROUNDING * magnitude
+    return estimate, _HEAD_ROUNDING * magnitude + period_error * (k1 - k0)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -320,8 +312,8 @@ def _tail(b: int, mus: tuple[float, ...], max_last: float, mu_err: float, period
 def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> tuple[float, float]:
     """(estimate, error bound) of the integral for p > 0 and q >= 0.
 
-    The tail, read at the final X = 2pi * periods, takes at most tol / 4 and
-    the head's Kronrod estimates tol / 2; the caller checks the total against tol.
+    The tail, read at the final X = 2pi * periods, takes at most tol / 4; the
+    caller checks the total against tol.
     """
     panels = 4 * (a * p + c * q)  # per period: none wider than a quarter oscillation
     max_periods = _MAX_NODES // (15 * panels)
@@ -339,13 +331,15 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
         periods = doubled(periods)
 
     half, values = _sample_period(a, b, c, p, q, panels)
-    head, head_err = _gk_pass(half, values, 0, periods, tol)
+    with np.errstate(over="ignore"):  # past double range the bound is inf, and refused
+        period_error = _GL15_PERIOD_ERROR * float(np.float64(p) ** b)
+    head, head_err = _head_pass(half, values, 0, periods, tol, period_error)
     # The head's rounding can leave the tail less than its quarter of tol.
     # The tail bound falls like X^-(b+3), so extending the head over [X, 2X]
     # restores the room unless the rounding alone is too large.
     while head_err < tol < head_err + tail[1]:
         k0, periods = periods, doubled(periods)
-        more, more_err = _gk_pass(half, values, k0, periods, tol - head_err)
+        more, more_err = _head_pass(half, values, k0, periods, tol - head_err, period_error)
         head, head_err = head + more, head_err + more_err
         tail = _tail(b, *profile, periods)
     return head + tail[0], head_err + tail[1]
@@ -390,8 +384,9 @@ def quadrature(
         raise QuadratureError(f"frequency scale {g}^{b - 1} exceeds double range") from None
     estimate, bound = _reduced_quadrature(a, b, c, p // g, q // g, tol / scale)
     estimate *= scale
-    # Half an ulp each for rounding g^(b-1) to a double and for the product.
-    error_bound = scale * bound + _EPS * abs(estimate) + 1e-12
+    # Half an ulp each for the sum head + tail, for rounding g^(b-1) to a
+    # double and for the product.
+    error_bound = scale * bound + 1.5 * _EPS * abs(estimate)
     if error_bound > tol:
         raise QuadratureError(
             f"certified error {error_bound:.3e} exceeds requested tolerance {tol:.3e}"

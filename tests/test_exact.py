@@ -1,6 +1,8 @@
 """Exact-core tests: binomial weights, factorization, and canonical value algebra."""
 
+import copy
 import math
+import pickle
 import time
 from collections import Counter
 from fractions import Fraction
@@ -243,6 +245,44 @@ def test_canonical_rendering(value, text):
 @given(_exact_values)
 def test_text_round_trip(value):
     assert parse_exact_value(str(value)) == value
+
+
+def test_log_coeffs_are_read_only():
+    value = evaluate_integral(3, 2, 0, 1, 0)
+    with pytest.raises(TypeError):
+        value.log_coeffs[5] = Fraction(1)
+    with pytest.raises(TypeError):
+        del value.log_coeffs[3]
+    assert str(value) == "3/4*ln(3)"
+    # The constructor keeps its own copy of the map it is given.
+    logs = {3: Fraction(3, 4)}
+    built = ExactValue(log_coeffs=logs)
+    logs[5] = Fraction(1)
+    assert built == value
+
+
+@given(_exact_values)
+def test_hash_agrees_with_equality(value):
+    # The same value built from its terms in reverse order is equal and hashes equal.
+    rebuilt = ExactValue(value.pi_coeff, dict(reversed(value.log_coeffs.items())))
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    assert len({value, rebuilt, value.scale(2)}) == 1 + (value != value.scale(2))
+
+
+@given(_exact_values)
+def test_values_survive_pickle_and_deepcopy(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value) and str(copied) == str(value)
+        with pytest.raises(TypeError):
+            copied.log_coeffs[2] = Fraction(1)
+
+
+def test_log_coeffs_read_as_a_mapping():
+    assert ExactValue().log_coeffs == {} and len(ExactValue().log_coeffs) == 0
+    value = ExactValue(Fraction(1, 2), {5: Fraction(-1, 3), 2: Fraction(7)})
+    assert value.log_coeffs != {} and len(value.log_coeffs) == 2
+    assert list(value.log_coeffs.items()) == [(2, Fraction(7)), (5, Fraction(-1, 3))]
+    assert list(value.log_coeffs.values()) == [Fraction(7), Fraction(-1, 3)]
 
 
 def test_values_past_the_digit_limit_are_refused():

@@ -235,6 +235,23 @@ def test_certified_error_over_tolerance_is_refused(monkeypatch):
         quadrature(IntegralParams(5, 3, 0, 2, 0), 1e-6)
 
 
+def test_certified_bound_covers_the_three_final_roundings(monkeypatch):
+    # Even an exact reduced integral leaves half an ulp each for the sum head +
+    # tail, for g^(b-1) and for the product: an absolute 1e-12 in place of the
+    # first would not cover it above about 9,000.
+    monkeypatch.setattr(oracle_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (16384.5, 0.0))
+    est, bound = quadrature(IntegralParams(5, 3, 0, 3, 0), 1e-6)  # g^(b-1) = 9
+    assert est == 147460.5 and bound >= 1.5 * math.ulp(est)
+
+
+def test_a_gauss_bound_past_double_range_is_refused(monkeypatch):
+    # p'^b past double range makes the head's bound inf, not an OverflowError,
+    # and the final check refuses it.
+    monkeypatch.setattr(oracle_module, "_GL15_PERIOD_ERROR", math.inf)
+    with pytest.raises(QuadratureError, match="certified error inf exceeds requested tolerance"):
+        quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
+
+
 def test_quadrature_refuses_values_beyond_double_range():
     # (sin(100x)/x)^300 reaches 100^300 near 0; 1000^299 is the gcd scale factor.
     for params in (IntegralParams(300, 300, 1, 100, 99), IntegralParams(300, 300, 0, 1000, 0)):
@@ -251,29 +268,6 @@ def test_quadrature_refuses_values_beyond_double_range():
     assert min(elapsed) < 1e-3
 
 
-def test_head_refuses_instead_of_refining(monkeypatch):
-    # A discontinuous periodic stand-in: its Kronrod error estimate cannot meet
-    # tol / 2 on the first panels, and the head refuses rather than splitting them.
-    calls = []
-
-    def square_wave(*args):
-        edges = np.linspace(0.0, 2.0 * math.pi, 9)
-        half = math.pi / 8
-        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * oracle_module._NODES
-        wave = np.sign(np.sin(7.3 * t))
-
-        def values(k0, k1):
-            calls.append((k0, k1))
-            return wave / (1.0 + 2.0 * math.pi * np.arange(k0, k1)[:, None, None] + t) ** 2
-
-        return half, values
-
-    monkeypatch.setattr(oracle_module, "_sample_period", square_wave)
-    with pytest.raises(QuadratureError, match="error estimate"):
-        quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
-    assert len(calls) == 1
-
-
 def test_node_budget_covers_the_head_extension(monkeypatch):
     # The head of I(9, 6, 0, 51, 24) is extended over [X, 2X]; with a budget of
     # exactly its first pass the extension must be refused, not run afresh.
@@ -286,19 +280,26 @@ def test_node_budget_covers_the_head_extension(monkeypatch):
         quadrature(params, 1e-6)
 
 
-def _direct_head(a, b, c, p, q, k0, k1, dtype):
-    """The head's Kronrod sum over periods k0 <= k < k1 in dtype arithmetic.
+def _oracle_head_pass(a, b, c, p, q, k0, k1):
+    """The oracle's head pass over periods k0 <= k < k1 on its own 4 omega panels."""
+    half, values = oracle_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
+    return oracle_module._head_pass(half, values, k0, k1, 1e-6, oracle_module._GL15_PERIOD_ERROR * p**b)
+
+
+def _direct_head(a, b, c, p, q, k0, k1, dtype, panels_per_omega=4):
+    """The head's Gauss-Legendre sum over periods k0 <= k < k1 in dtype arithmetic.
 
     The raw integrand (sin(px)/x)^b sin^(a-b)(px) cos^c(qx) is evaluated at
-    every node x = 2pi k + t itself, on the oracle's panels, nodes and weights.
+    every node x = 2pi k + t itself, on panels_per_omega * omega panels a
+    period and the oracle's nodes and weights.
     """
-    edges = np.linspace(0.0, 2.0 * math.pi, 4 * (a * p + c * q) + 1)
+    edges = np.linspace(0.0, 2.0 * math.pi, panels_per_omega * (a * p + c * q) + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * oracle_module._NODES
     two_pi = 8 * np.arctan(dtype(1))
     x = two_pi * np.arange(k0, k1, dtype=dtype)[:, None, None] + t.astype(dtype)
     f = (np.sin(p * x) / x) ** b * np.sin(p * x) ** (a - b) * np.cos(q * x) ** c
-    return (half.astype(dtype) * (f @ oracle_module._WK.astype(dtype))).sum()
+    return (half.astype(dtype) * (f @ oracle_module._WEIGHTS.astype(dtype))).sum()
 
 
 def test_head_passes_match_the_raw_integrand_period_by_period():
@@ -306,9 +307,8 @@ def test_head_passes_match_the_raw_integrand_period_by_period():
     # off-by-one in k, or a skipped or doubled period, moves the sum far
     # beyond the claimed bound.
     for a, b, c, p, q in [(9, 6, 0, 17, 8), (7, 6, 3, 23, 11), (5, 3, 2, 2, 3)]:
-        half, values = oracle_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
         for k0, k1 in [(0, 1), (0, 4), (1, 4), (4, 8)]:
-            head, bound = oracle_module._gk_pass(half, values, k0, k1, 1e-6)
+            head, bound = _oracle_head_pass(a, b, c, p, q, k0, k1)
             direct = _direct_head(a, b, c, p, q, k0, k1, np.float64)
             assert abs(head - direct) <= bound, (a, b, c, p, q, k0, k1)
 
@@ -362,14 +362,50 @@ def test_sampler_takes_sines_and_cosines_on_a_quarter_period(monkeypatch):
     assert counts == {"sin": 15 * panels // 4, "cos": 15 * panels // 4}
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than double")
+_LONG_DOUBLE_CASES = [(9, 6, 0, 17, 8), (7, 6, 3, 23, 11), (4, 4, 2, 9, 7), (10, 10, 2, 2, 1)]
+_no_wider_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than double"
+)
+
+
+@_no_wider_long_double
 def test_head_bound_covers_rounding_against_long_double():
-    for a, b, c, p, q in [(9, 6, 0, 17, 8), (7, 6, 3, 23, 11), (4, 4, 2, 9, 7), (10, 10, 2, 2, 1)]:
-        half, values = oracle_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
+    for a, b, c, p, q in _LONG_DOUBLE_CASES:
         for periods in (4, 16):
-            head, bound = oracle_module._gk_pass(half, values, 0, periods, 1e-6)
+            head, bound = _oracle_head_pass(a, b, c, p, q, 0, periods)
             reference = _direct_head(a, b, c, p, q, 0, periods, np.longdouble)
             assert abs(np.longdouble(head) - reference) <= bound, (a, b, c, p, q, periods)
+
+
+@_no_wider_long_double
+def test_head_bound_covers_the_gauss_error_against_finer_panels():
+    # Four times narrower panels shrink the Gauss error bound by 4^30, so in
+    # long double the 16 omega sum stands for the exact integral over the head.
+    for a, b, c, p, q in _LONG_DOUBLE_CASES:
+        for periods in (4, 16):
+            head, bound = _oracle_head_pass(a, b, c, p, q, 0, periods)
+            coarse = _direct_head(a, b, c, p, q, 0, periods, np.longdouble)
+            fine = _direct_head(a, b, c, p, q, 0, periods, np.longdouble, panels_per_omega=16)
+            assert abs(coarse - fine) <= bound, (a, b, c, p, q, periods)
+
+
+def test_gauss_legendre_15_table_and_error_constant():
+    with mpmath.workdps(40):
+
+        def legendre(x):
+            return mpmath.legendre(15, x)
+
+        # Newton from cos(pi (i - 1/4) / 15.5) reaches the i-th largest root; P_15 is odd.
+        positive = [mpmath.findroot(legendre, mpmath.cos(mpmath.pi * (i - 0.25) / 15.5)) for i in range(1, 8)]
+        assert all(x > y > 0 for x, y in zip(positive, positive[1:]))  # 7 distinct: with 0 and -x, all 15
+        roots = [-x for x in positive] + [mpmath.mpf(0)] + positive[::-1]
+        for node, weight, x in zip(oracle_module._NODES, oracle_module._WEIGHTS, roots):
+            slope = 15 * (x * legendre(x) - mpmath.legendre(14, x)) / (x * x - 1)
+            assert abs(node - x) <= math.ulp(node) / 2, x
+            assert abs(weight - 2 / ((1 - x * x) * slope**2)) <= math.ulp(weight) / 2, x
+        c15 = (mpmath.pi / 2) ** 30 * mpmath.factorial(15) ** 4 / (31 * mpmath.factorial(30) ** 3)
+        assert abs(oracle_module._GL15_PERIOD_ERROR / (2 * mpmath.pi * c15) - 1) <= 1e-14
+    assert math.fsum(oracle_module._WEIGHTS) == 2.0
 
 
 def _profile_from_expansion(a, c, p, q):
