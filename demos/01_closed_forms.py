@@ -2,11 +2,13 @@
 
 The integral of sin^a(px) cos^c(qx) / x^b over (0, inf) is a rational
 multiple of pi when a and b share parity, and a rational combination of
-logarithms of primes when they do not.  This script evaluates a spread of
-members and shows both the exact value and its decimal rendering.
+logarithms of primes when they do not.  b = 1 belongs to the family for
+odd a (the Sinc integral, a = 1, is pi/2) and diverges for even a.  This
+script evaluates a spread of members and shows both the exact value and its
+decimal rendering.
 """
 
-from sincint import evaluate_integral, to_decimal
+from sincint import IntegralParams, evaluate, to_decimal
 
 CLASSICS = [
     (2, 2, 0, 1, 0, "squared sinc"),
@@ -27,7 +29,7 @@ MIXED = [
 
 
 def show(a, b, c, p, q, note=""):
-    value = evaluate_integral(a, b, c, p, q)
+    value = evaluate(IntegralParams(a, b, c, p, q))
     tag = f"  ({note})" if note else ""
     print(f"  I(a={a}, b={b}, c={c}, p={p:2d}, q={q}) = {str(value):>28s}"
           f"  = {to_decimal(value): .12f}{tag}")
@@ -46,9 +48,9 @@ def main():
     for p in (1, 2, 3, 4, 5):
         show(3, 2, 0, p, 0)
 
-    print("\nThe extension b = 1 (odd a, behind a flag) recovers the sinc line:")
+    print("\nb = 1 with odd a recovers the sinc line (even a diverges):")
     for a in (1, 3, 5):
-        value = evaluate_integral(a, 1, 0, 1, 0, allow_b1=True)
+        value = evaluate(IntegralParams(a, 1, 0, 1, 0))
         print(f"  I(a={a}, b=1) = {str(value):>12s} = {to_decimal(value):.12f}")
 
 

@@ -2,13 +2,15 @@
 
 For integers a >= b >= 2, c >= 0 and any integer frequencies p, q, the
 integral has a closed form: a rational multiple of pi when a and b share
-parity, and a rational combination of logarithms of primes otherwise.  This
-package computes those closed forms in exact arithmetic, certifies the
-combinatorial cancellation they rely on, and cross-checks every value
-against an independent fixed-pass quadrature of the raw integrand.
+parity, and a rational combination of logarithms of primes otherwise.
+b = 1 with odd a is a rational multiple of pi too (the Sinc integral, a = 1,
+is pi/2); b = 1 with even a diverges and is refused.  This package computes
+those closed forms in exact arithmetic, certifies the combinatorial
+cancellation they rely on, and cross-checks every value against an
+independent fixed-pass quadrature of the raw integrand.
 """
 
-from .evaluator import evaluate, evaluate_integral
+from .evaluator import evaluate
 from .exact import ExactValue, parse_exact_value, prime_factorization
 from .identities import SweepRecord, SweepReport, boundary_identity_sum, identity_sweep
 from .oracle import (
@@ -20,7 +22,7 @@ from .oracle import (
     to_decimal,
     verify,
 )
-from .params import DomainError, IntegralParams, validate_for_evaluation
+from .params import DomainError, IntegralParams
 from .trig import spectrum
 
 __version__ = "0.1.0"
@@ -37,13 +39,11 @@ __all__ = [
     "VerifyReport",
     "boundary_identity_sum",
     "evaluate",
-    "evaluate_integral",
     "identity_sweep",
     "parse_exact_value",
     "prime_factorization",
     "quadrature",
     "spectrum",
     "to_decimal",
-    "validate_for_evaluation",
     "verify",
 ]

@@ -5,9 +5,10 @@ Exit codes discriminate failure classes so scripts can branch on them:
 a verify disagreement, 5 a verify the oracle could not certify (the report
 carries a reason; this says nothing against the closed form).
 verify's --tol sets its tolerance (default DEFAULT_TOL); a value that is not
-a finite number no smaller than MIN_TOL exits 1.  verify and batch print JSON,
-as eval does with --format json; it is strict RFC 8259: a decimal outside
-double range is written as null.
+an ASCII decimal literal of a finite number no smaller than MIN_TOL exits 1.
+b = 1 needs --allow-b1, which only eval and verify take.  verify and batch
+print JSON, as eval does with --format json; it is strict RFC 8259: a
+decimal outside double range is written as null.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ EXIT_DOMAIN = 2
 EXIT_BATCH = 3
 EXIT_SELFTEST = 4
 EXIT_UNVERIFIABLE = 5
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "1_0" and non-ASCII digits
+# int() and float() alone also read "1_0", blanks around the number and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", parents=[params], help="cross-check the closed form against quadrature")
-    p_verify.add_argument("--tol", default=DEFAULT_TOL, help=f"absolute tolerance (>= {MIN_TOL})")
+    p_verify.add_argument("--tol", default=repr(DEFAULT_TOL), help=f"absolute tolerance (>= {MIN_TOL})")
     p_verify.set_defaults(run=cmd_verify)
 
     p_batch = sub.add_parser("batch", help="evaluate one 'a b c p q' line per input row")
-    p_batch.add_argument("input", help="file of whitespace-separated integers, # comments allowed")
+    p_batch.add_argument("input", help="whitespace-separated integers; lines whose first non-blank is # are comments")
     p_batch.set_defaults(run=cmd_batch)
 
     p_self = sub.add_parser("selftest", help="run the identity sweep and an oracle grid")
@@ -73,8 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _record(params: IntegralParams, *, allow_b1: bool) -> dict:
-    value = evaluate(params, allow_b1=allow_b1)
+def _admit(params: IntegralParams, allow_b1: bool) -> IntegralParams:
+    if params.b == 1 and not allow_b1:  # the CLI's one b = 1 gate
+        raise DomainError("b >= 2", "b = 1 is only supported with the extension flag (allow_b1)")
+    return params
+
+
+def _record(params: IntegralParams) -> dict:
+    value = evaluate(params)
     return {
         "a": params.a,
         "b": params.b,
@@ -87,8 +96,7 @@ def _record(params: IntegralParams, *, allow_b1: bool) -> dict:
 
 
 def cmd_eval(args) -> int:
-    params = IntegralParams(args.a, args.b, args.c, args.p, args.q)
-    record = _record(params, allow_b1=args.allow_b1)
+    record = _record(_admit(IntegralParams(args.a, args.b, args.c, args.p, args.q), args.allow_b1))
     if args.format == "json":
         print(_json_line(record))
     else:
@@ -97,8 +105,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = IntegralParams(args.a, args.b, args.c, args.p, args.q)
-    report = verify(params, args.tol, allow_b1=args.allow_b1)
+    params = _admit(IntegralParams(args.a, args.b, args.c, args.p, args.q), args.allow_b1)
+    report = verify(params, args.tol)
     print(report.to_json())
     if report.passed:
         return EXIT_OK
@@ -135,8 +143,7 @@ def _batch_line(text: str) -> dict:
         return {"status": "parse_error", "input": text, "error": f"fields must have at most {_MAX_DIGITS} digits"}
     a, b, c, p, q = map(int, fields)
     try:
-        params = IntegralParams(a, b, c, p, q)
-        record = _record(params, allow_b1=False)
+        record = _record(_admit(IntegralParams(a, b, c, p, q), False))
     except DomainError as exc:
         return {"a": a, "b": b, "c": c, "p": p, "q": q,
                 "status": "domain_error", "error": exc.constraint}
@@ -176,6 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     if "tol" in args:
         text = args.tol
         try:
+            if _DECIMAL.fullmatch(text) is None:
+                raise ValueError(text)
             args.tol = float(text)
             _check_tol(args.tol)
         except ValueError:

@@ -17,10 +17,7 @@ from .exact import ExactValue, _count_text, prime_factorization
 from .params import DomainError, IntegralParams, validate_for_evaluation
 from .trig import spectrum
 
-__all__ = [
-    "evaluate",
-    "evaluate_integral",
-]
+__all__ = ["evaluate"]
 
 # Work limits of about a second each on a 2-vCPU host, estimated before the spectrum
 # from its (a/2+1)(c/2+1) products and at most min(2 * products, max |L|) distinct |L|,
@@ -31,7 +28,7 @@ _MAX_TRIAL_DIVISIONS = 10**7
 _MAX_BIT_OPS = 10**9
 
 
-def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
+def evaluate(params: IntegralParams) -> ExactValue:
     """Exact value of the integral for any representable parameters.
 
     The gcd g of the frequencies (g = |p| when c = 0) is divided out first:
@@ -42,16 +39,16 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
     negative L is already in w, so there is one power m^(b-1) per key.
     Same parity gives pi times the sum of w * m^(b-1): an odd-a spectrum has
     no m = 0 key, and for even a, b >= 2 makes 0^(b-1) = 0.  Opposite parity
-    (a > b, so b >= 2) gives the sum of w * m^(b-1) * ln m: each m >= 2 is
-    factored once, and the ln g terms the reduction drops carry the sum of
-    w * m^(b-1), which the boundary identity makes zero.  g^(b-1) and the
-    rational prefactor are applied once, to the pi sum or per prime.
-    p = 0 is the exact zero.  A case estimated to exceed _MAX_BIT_OPS or
-    _MAX_TRIAL_DIVISIONS raises DomainError before the spectrum is built, and
-    a value with a numerator or denominator of more than _MAX_DIGITS digits
-    raises DomainError instead of being returned.
+    (a > b >= 2, as b = 1 needs odd a) gives the sum of w * m^(b-1) * ln m:
+    each m >= 2 is factored once, and the ln g terms the reduction drops
+    carry the sum of w * m^(b-1), which the boundary identity makes zero.
+    g^(b-1) and the rational prefactor are applied once, to the pi sum or
+    per prime.  p = 0 is the exact zero.  A case estimated to exceed
+    _MAX_BIT_OPS or _MAX_TRIAL_DIVISIONS raises DomainError before the
+    spectrum is built, and a value with a numerator or denominator of more
+    than _MAX_DIGITS digits raises DomainError instead of being returned.
     """
-    validate_for_evaluation(params, allow_b1=allow_b1)
+    validate_for_evaluation(params)
     a, b, c, p, q = params.a, params.b, params.c, params.p, params.q
     if p == 0:
         return ExactValue()
@@ -91,7 +88,3 @@ def evaluate(params: IntegralParams, *, allow_b1: bool = False) -> ExactValue:
         log_coeffs={prime: Fraction(sign * scale * n, denominator) for prime, n in logs.items()}
     )
 
-
-def evaluate_integral(a: int, b: int, c: int, p: int, q: int, *, allow_b1: bool = False) -> ExactValue:
-    """Convenience wrapper: build the parameter record and evaluate."""
-    return evaluate(IntegralParams(a, b, c, p, q), allow_b1=allow_b1)

@@ -120,16 +120,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x: RationalLike) -> Fraction:
+    """An int as a Fraction; a float, str or bool is no exact coefficient."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"exact coefficients are int or Fraction, got {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class ExactValue:
     """A number of the form  pi_coeff*pi + sum log_coeffs[rho]*ln(rho).
 
-    Invariants (restored on construction): every log key is prime, no stored
-    coefficient is zero, and the zero value has pi_coeff == 0 with an empty
-    map.  A numerator or denominator of more than _MAX_DIGITS digits raises
-    DomainError, so every value prints and parses back.  Instances are
-    immutable, log_coeffs a read-only view, and hashable; scale returns a new
-    value.
+    Coefficients and scale factors are int or Fraction; a float, str or
+    bool raises TypeError.  Invariants (restored on construction): every log
+    key is prime, zero coefficient or not, no stored coefficient is zero,
+    and the zero value has pi_coeff == 0 with an empty map.  A numerator or
+    denominator of more than _MAX_DIGITS digits raises DomainError, so every
+    value prints and parses back.  Instances are immutable, log_coeffs a
+    read-only view, and hashable; scale returns a new value.
     """
 
     pi_coeff: Fraction = Fraction(0)
@@ -137,19 +145,18 @@ class ExactValue:
 
     def __post_init__(self) -> None:
         if not isinstance(self.pi_coeff, Fraction):
-            object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
+            object.__setattr__(self, "pi_coeff", _rational(self.pi_coeff))
         cleaned: dict[int, Fraction] = {}
         for prime in sorted(self.log_coeffs):
             coeff = self.log_coeffs[prime]
             if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
+                coeff = _rational(coeff)
             if prime >= _PRIME_LIMIT:
                 raise ValueError(f"log basis entries must be below {_PRIME_LIMIT}, got {prime}")
             if not _is_prime(prime):
                 raise ValueError(f"log basis entries must be prime, got {prime}")
-            cleaned[prime] = coeff
+            if coeff:
+                cleaned[prime] = coeff
         for coeff in (self.pi_coeff, *cleaned.values()):
             if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_BOUND:
                 raise DomainError(f"exact value digits <= {_MAX_DIGITS}",
@@ -165,7 +172,7 @@ class ExactValue:
 
     def scale(self, factor: RationalLike) -> "ExactValue":
         """Multiply every coefficient by an exact rational factor."""
-        r = Fraction(factor)
+        r = factor if isinstance(factor, Fraction) else _rational(factor)
         if r == 0:
             return ExactValue()
         return ExactValue(

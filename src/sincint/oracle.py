@@ -350,12 +350,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance {tol!r} is not a finite number >= {MIN_TOL}, the double-precision oracle's floor")
 
 
-def quadrature(
-    params: IntegralParams,
-    tol: float = DEFAULT_TOL,
-    *,
-    allow_b1: bool = False,
-) -> tuple[float, float]:
+def quadrature(params: IntegralParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Estimate the integral directly; returns (estimate, error_bound).
 
     The estimate carries the sign(p)^a factor, matching the exact evaluator,
@@ -363,7 +358,7 @@ def quadrature(
     QuadratureError when the tolerance cannot be certified.
     """
     _check_tol(tol)
-    validate_for_evaluation(params, allow_b1=allow_b1)
+    validate_for_evaluation(params)
     a, b, c = params.a, params.b, params.c
     # The integrand depends on q only through |q| (not at all when c = 0),
     # and on the sign of p only through the factor sign(p)^a.
@@ -435,12 +430,7 @@ def _json_line(record: dict) -> str:
     )
 
 
-def verify(
-    params: IntegralParams,
-    tol: float = DEFAULT_TOL,
-    *,
-    allow_b1: bool = False,
-) -> VerifyReport:
+def verify(params: IntegralParams, tol: float = DEFAULT_TOL) -> VerifyReport:
     """Evaluate exactly, render to decimal, quadrate, and compare.
 
     The verdict is pass when |exact - oracle| <= tol + oracle error bound.
@@ -449,11 +439,11 @@ def verify(
     ValueError before any evaluation.
     """
     _check_tol(tol)
-    exact = evaluate(params, allow_b1=allow_b1)
+    exact = evaluate(params)
     exact_decimal = to_decimal(exact)
     estimate = bound = abs_diff = reason = None
     try:
-        estimate, bound = quadrature(params, tol, allow_b1=allow_b1)
+        estimate, bound = quadrature(params, tol)
     except QuadratureError as exc:
         reason = str(exc)
     else:

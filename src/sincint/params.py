@@ -23,8 +23,8 @@ class IntegralParams:
 
     a is the sine exponent, b the power of x, c the cosine exponent, p and q
     the sine and cosine frequencies (either sign).  Construction enforces the
-    structural constraints a >= b >= 1 and c >= 0; the stricter b >= 2 rule
-    (with its flagged b = 1 exception) is applied at evaluation time.
+    structural constraints a >= b >= 1 and c >= 0; the divergence of b = 1
+    with even a is refused at evaluation time.
     """
 
     a: int
@@ -49,21 +49,7 @@ class IntegralParams:
             raise DomainError("c >= 0")
 
 
-def validate_for_evaluation(params: IntegralParams, *, allow_b1: bool = False) -> None:
-    """Reject parameters the closed forms do not cover.
-
-    b = 1 is accepted only behind ``allow_b1`` and only for odd a (even a
-    with b = 1 diverges).
-    """
-    if params.b >= 2:
-        return
-    if not allow_b1:
-        raise DomainError(
-            "b >= 2",
-            "b = 1 is only supported with the extension flag (allow_b1)",
-        )
-    if params.a % 2 == 0:
-        raise DomainError(
-            "odd a when b = 1",
-            "b = 1 requires odd a (the even-a integral diverges)",
-        )
+def validate_for_evaluation(params: IntegralParams) -> None:
+    """Reject b = 1 with even a, whose integral diverges."""
+    if params.b == 1 and params.a % 2 == 0:
+        raise DomainError("odd a when b = 1", "b = 1 requires odd a (the even-a integral diverges)")

@@ -15,7 +15,6 @@ from sincint import (
     ExactValue,
     IntegralParams,
     evaluate,
-    evaluate_integral,
     identity_sweep,
     quadrature,
     spectrum,
@@ -40,9 +39,9 @@ def _grid_params():
 
 
 def test_criterion_1_classical_anchors():
-    assert evaluate_integral(2, 2, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 2))
-    assert evaluate_integral(4, 4, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 3))
-    assert evaluate_integral(3, 3, 0, 1, 0) == ExactValue(pi_coeff=Fraction(3, 8))
+    assert evaluate(IntegralParams(2, 2, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 2))
+    assert evaluate(IntegralParams(4, 4, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 3))
+    assert evaluate(IntegralParams(3, 3, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(3, 8))
     _report(1, "classical anchors, exact equality")
 
 
@@ -78,9 +77,9 @@ def test_criterion_3_oracle_agreement_grid():
 def test_criterion_4_exact_scaling_law():
     for a in range(2, 11):
         for b in range(2, a + 1):
-            base = evaluate_integral(a, b, 0, 1, 0)
+            base = evaluate(IntegralParams(a, b, 0, 1, 0))
             for p in range(1, 10):
-                assert evaluate_integral(a, b, 0, p, 0) == base.scale(Fraction(p) ** (b - 1))
+                assert evaluate(IntegralParams(a, b, 0, p, 0)) == base.scale(Fraction(p) ** (b - 1))
     _report(4, "exact p^(b-1) scaling for c = 0")
 
 
@@ -126,9 +125,9 @@ def test_criterion_6_expansion_equivalence():
 
 
 def test_criterion_7_b1_extension():
-    assert evaluate_integral(1, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(1, 2))
-    value = evaluate_integral(3, 1, 0, 1, 0, allow_b1=True)
+    assert evaluate(IntegralParams(1, 1, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 2))
+    value = evaluate(IntegralParams(3, 1, 0, 1, 0))
     assert value == ExactValue(pi_coeff=Fraction(1, 4))
-    estimate, bound = quadrature(IntegralParams(3, 1, 0, 1, 0), GRID_TOL, allow_b1=True)
+    estimate, bound = quadrature(IntegralParams(3, 1, 0, 1, 0), GRID_TOL)
     assert abs(to_decimal(value) - estimate) <= 1e-5
-    _report(7, "flagged b = 1 extension matches the oracle")
+    _report(7, "b = 1 with odd a matches the oracle")

@@ -80,6 +80,9 @@ def test_eval_b1_needs_flag(capsys):
     code, _, err = run_cli(["eval", "-a", "1", "-b", "1", "-c", "0", "-p", "1", "-q", "0"], capsys)
     assert code == 2
     assert "b >= 2" in err
+    # The gate runs after the parameters are built: a >= b is named first.
+    code, _, err = run_cli(["eval", "-a", "0", "-b", "1", "-c", "0", "-p", "1", "-q", "0"], capsys)
+    assert (code, err) == (2, "domain error: constraint violated: a >= b [a >= b]\n")
     code, out, _ = run_cli(
         ["eval", "-a", "1", "-b", "1", "-c", "0", "-p", "1", "-q", "0", "--allow-b1"], capsys
     )
@@ -96,6 +99,17 @@ def test_verify_b1_needs_flag(capsys):
     assert code == 0
     record = strict_json(out)
     assert record["exact"] == "1/4*pi" and record["pass"] is True
+
+
+def test_batch_refuses_b_one(tmp_path, capsys):
+    # The library evaluates (3, 1, 0, 1, 0), but batch takes no --allow-b1.
+    path = tmp_path / "cases.txt"
+    path.write_text("3 1 0 1 0\n2 2 0 1 0\n")
+    code, out, err = run_cli(["batch", str(path)], capsys)
+    assert (code, err) == (3, "")
+    refused, ok = map(strict_json, out.splitlines())
+    assert refused == {"a": 3, "b": 1, "c": 0, "p": 1, "q": 0, "status": "domain_error", "error": "b >= 2"}
+    assert ok["status"] == "ok" and ok["exact"] == "1/2*pi"
 
 
 def test_options_without_a_caller_are_usage_errors(tmp_path, capsys):
@@ -172,17 +186,27 @@ def test_invalid_tol_flag_is_a_usage_error(command, tol, capsys):
     assert "--tol" in message and tol in message
 
 
-@pytest.mark.parametrize("tol", ["1e-8", "0.00000001", "9.999999999999999e-09", "1e300", "inf", "nan", "-0.0"])
+# float() reads these as 10.0, 1.0 (an Arabic-Indic digit) and 1e-6 (a fullwidth digit).
+NOT_ASCII_DECIMALS = ["1_0", "\u0661", "\uff11e-6"]
+
+
+@pytest.mark.parametrize(
+    "tol", ["1e-8", "0.00000001", "9.999999999999999e-09", "1e300", "inf", "nan", "-0.0", *NOT_ASCII_DECIMALS]
+)
 def test_cli_and_library_accept_the_same_tolerances(tol, capsys):
-    # p = 0 makes the case instant; 1e-8 is MIN_TOL itself and is accepted.
+    # p = 0 makes the case instant; 1e-8 is MIN_TOL itself and is accepted.  Like
+    # the integer fields, --tol reads ASCII decimal literals only.
     code, out, err = run_cli(["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "0", "-q", "0", "--tol", tol], capsys)
     try:
         oracle._check_tol(float(tol))
     except ValueError:
         assert (code, out, len(err.splitlines())) == (1, "", 1)
     else:
-        assert code == 0
-        assert json.loads(out)["tol"] == float(tol)
+        if tol in NOT_ASCII_DECIMALS:
+            assert (code, out, err) == (1, "", f"usage error: --tol {tol!r} is not a finite number >= 1e-08\n")
+        else:
+            assert code == 0
+            assert json.loads(out)["tol"] == float(tol)
     assert (code == 0) == (tol in {"1e-8", "0.00000001", "1e300"})
 
 

@@ -16,7 +16,6 @@ from sincint import (
     ExactValue,
     IntegralParams,
     evaluate,
-    evaluate_integral,
     quadrature,
     to_decimal,
     verify,
@@ -24,44 +23,44 @@ from sincint import (
 
 
 def test_classical_anchors_exact():
-    assert evaluate_integral(2, 2, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 2))
-    assert evaluate_integral(4, 4, 0, 1, 0) == ExactValue(pi_coeff=Fraction(1, 3))
-    assert evaluate_integral(3, 3, 0, 1, 0) == ExactValue(pi_coeff=Fraction(3, 8))
+    assert evaluate(IntegralParams(2, 2, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 2))
+    assert evaluate(IntegralParams(4, 4, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 3))
+    assert evaluate(IntegralParams(3, 3, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(3, 8))
 
 
 def test_log_case_base_value():
-    assert evaluate_integral(3, 2, 0, 1, 0) == ExactValue(log_coeffs={3: Fraction(3, 4)})
+    assert evaluate(IntegralParams(3, 2, 0, 1, 0)) == ExactValue(log_coeffs={3: Fraction(3, 4)})
 
 
 def test_log_case_frequency_scaling():
-    assert evaluate_integral(3, 2, 0, 2, 0) == ExactValue(log_coeffs={3: Fraction(3, 2)})
+    assert evaluate(IntegralParams(3, 2, 0, 2, 0)) == ExactValue(log_coeffs={3: Fraction(3, 2)})
 
 
 def test_log_case_zero_frequency_shortcircuit():
-    assert evaluate_integral(3, 2, 0, 0, 5) == ExactValue()
+    assert evaluate(IntegralParams(3, 2, 0, 0, 5)) == ExactValue()
 
 
 def test_mixed_product_pi_value():
     # sin^2 x cos^2 x = sin^2(2x)/4, so the integral is a quarter of 2 * pi/2.
-    assert evaluate_integral(2, 2, 2, 1, 1) == ExactValue(pi_coeff=Fraction(1, 4))
+    assert evaluate(IntegralParams(2, 2, 2, 1, 1)) == ExactValue(pi_coeff=Fraction(1, 4))
 
 
 def test_mixed_product_log_value():
     # sin^3 x cos x = sin(2x)/4 - sin(4x)/8; the divergences cancel to ln(2)/2.
-    assert evaluate_integral(3, 2, 1, 1, 1) == ExactValue(log_coeffs={2: Fraction(1, 2)})
+    assert evaluate(IntegralParams(3, 2, 1, 1, 1)) == ExactValue(log_coeffs={2: Fraction(1, 2)})
 
 
 def test_even_a_over_x_squared_pinned_by_oracle():
     # Brute instantiation of the same-parity sum gives pi/4 here, and the
     # independent quadrature agrees; pinned as a regression value.
-    value = evaluate_integral(4, 2, 0, 1, 0)
+    value = evaluate(IntegralParams(4, 2, 0, 1, 0))
     assert value == ExactValue(pi_coeff=Fraction(1, 4))
     estimate, bound = quadrature(IntegralParams(4, 2, 0, 1, 0), 1e-6)
     assert abs(to_decimal(value) - estimate) <= 1e-6 + bound
 
 
 def test_sign_flip_of_p_with_odd_a():
-    assert evaluate_integral(3, 2, 0, -1, 0) == ExactValue(log_coeffs={3: Fraction(-3, 4)})
+    assert evaluate(IntegralParams(3, 2, 0, -1, 0)) == ExactValue(log_coeffs={3: Fraction(-3, 4)})
 
 
 def test_case_shape_on_small_grid():
@@ -70,7 +69,7 @@ def test_case_shape_on_small_grid():
             for c in range(0, 3):
                 for p in range(1, 4):
                     for q in range(0, 3):
-                        value = evaluate_integral(a, b, c, p, q)
+                        value = evaluate(IntegralParams(a, b, c, p, q))
                         if (a - b) % 2 == 0:
                             assert value.log_coeffs == {}
                         else:
@@ -80,9 +79,9 @@ def test_case_shape_on_small_grid():
 def test_exact_scaling_law_for_pure_sine():
     for a in range(2, 11):
         for b in range(2, a + 1):
-            base = evaluate_integral(a, b, 0, 1, 0)
+            base = evaluate(IntegralParams(a, b, 0, 1, 0))
             for p in range(1, 10):
-                scaled = evaluate_integral(a, b, 0, p, 0)
+                scaled = evaluate(IntegralParams(a, b, 0, p, 0))
                 assert scaled == base.scale(Fraction(p) ** (b - 1))
 
 
@@ -96,8 +95,8 @@ def test_exact_scaling_law_for_pure_sine():
 def test_sign_symmetry_property(a, b, c, p, q):
     if a < b:
         a, b = b, a
-    flipped = evaluate_integral(a, b, c, -p, q)
-    direct = evaluate_integral(a, b, c, p, q)
+    flipped = evaluate(IntegralParams(a, b, c, -p, q))
+    direct = evaluate(IntegralParams(a, b, c, p, q))
     assert flipped == (direct.scale(-1) if a % 2 else direct)
 
 
@@ -110,7 +109,7 @@ def test_sign_symmetry_property(a, b, c, p, q):
 def test_zero_p_always_zero(a, b, c, q):
     if a < b:
         a, b = b, a
-    assert evaluate_integral(a, b, c, 0, q) == ExactValue()
+    assert evaluate(IntegralParams(a, b, c, 0, q)) == ExactValue()
 
 
 def test_magnitude_bounded_by_pure_sine_value():
@@ -119,29 +118,38 @@ def test_magnitude_bounded_by_pure_sine_value():
         (2, 2, 1, 1, 1), (3, 2, 2, 1, 3), (5, 3, 4, 2, 1),
         (6, 4, 3, 3, 2), (7, 5, 2, 1, 5), (4, 2, 4, 2, 4),
     ]:
-        full = abs(to_decimal(evaluate_integral(a, b, c, p, q)))
-        pure = abs(to_decimal(evaluate_integral(a, b, 0, p, 0)))
+        full = abs(to_decimal(evaluate(IntegralParams(a, b, c, p, q))))
+        pure = abs(to_decimal(evaluate(IntegralParams(a, b, 0, p, 0))))
         assert full <= pure + 1e-9
 
 
 def test_domain_error_names_constraint():
     with pytest.raises(DomainError) as excinfo:
-        evaluate_integral(2, 3, 0, 1, 0)
+        evaluate(IntegralParams(2, 3, 0, 1, 0))
     assert excinfo.value.constraint == "a >= b"
     with pytest.raises(DomainError) as excinfo:
         IntegralParams(3, 0, 0, 1, 0)
     assert excinfo.value.constraint == "b >= 1"
 
 
-def test_b_below_two_requires_flag():
-    with pytest.raises(DomainError) as excinfo:
-        evaluate_integral(3, 1, 0, 1, 0)
-    assert excinfo.value.constraint == "b >= 2"
+def test_b_one_with_odd_a_needs_no_flag():
+    # The library takes b = 1 with odd a as it is; only the CLI asks for --allow-b1.
+    params = IntegralParams(3, 1, 0, 1, 0)
+    assert evaluate(params) == ExactValue(pi_coeff=Fraction(1, 4))
+    estimate, bound = quadrature(params, 1e-6)
+    assert abs(estimate - math.pi / 4) <= bound
+    assert verify(params, 1e-6).passed
+    for call in (evaluate, quadrature, verify):
+        with pytest.raises(DomainError) as excinfo:
+            call(IntegralParams(4, 1, 0, 1, 0))
+        assert excinfo.value.constraint == "odd a when b = 1"
 
 
 def test_b_one_with_even_a_rejected_even_with_flag():
-    with pytest.raises(DomainError):
-        evaluate_integral(4, 1, 0, 1, 0, allow_b1=True)
+    # The integral diverges: the library refuses it, and so does the CLI under --allow-b1.
+    with pytest.raises(DomainError) as excinfo:
+        evaluate(IntegralParams(4, 1, 0, 1, 0))
+    assert str(excinfo.value) == "b = 1 requires odd a (the even-a integral diverges)"
 
 
 def test_negative_c_rejected():
@@ -155,9 +163,9 @@ def test_non_integer_rejected():
 
 
 def test_b_one_extension_values():
-    assert evaluate_integral(1, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(1, 2))
-    assert evaluate_integral(3, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(1, 4))
-    assert evaluate_integral(5, 1, 0, 1, 0, allow_b1=True) == ExactValue(pi_coeff=Fraction(3, 16))
+    assert evaluate(IntegralParams(1, 1, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 2))
+    assert evaluate(IntegralParams(3, 1, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(1, 4))
+    assert evaluate(IntegralParams(5, 1, 0, 1, 0)) == ExactValue(pi_coeff=Fraction(3, 16))
 
 
 def test_evaluate_normalizes_frequency_signs():
@@ -184,7 +192,7 @@ def test_parity_classification():
     # (a - b) % 2 alone picks the case: 0 gives a multiple of pi, 1 a log combination.
     for a in range(2, 9):
         for b in range(2, a + 1):
-            value = evaluate_integral(a, b, 0, 1, 0)
+            value = evaluate(IntegralParams(a, b, 0, 1, 0))
             if (a - b) % 2 == 0:
                 assert value.log_coeffs == {} and value.pi_coeff != 0, (a, b)
             else:
@@ -194,8 +202,8 @@ def test_parity_classification():
 def test_desk_scale_powers_stay_exact():
     # Frequencies reach 180 and powers reach 18 here, far beyond int64; the
     # prime-basis scaling law must still hold with exact equality.
-    base = evaluate_integral(20, 19, 0, 1, 0)
-    scaled = evaluate_integral(20, 19, 0, 9, 0)
+    base = evaluate(IntegralParams(20, 19, 0, 1, 0))
+    scaled = evaluate(IntegralParams(20, 19, 0, 9, 0))
     assert scaled == base.scale(Fraction(9) ** 18)
     assert scaled.pi_coeff == 0
     assert any(coeff.numerator > 10**18 for coeff in scaled.log_coeffs.values())
@@ -206,7 +214,7 @@ def test_large_prime_frequency_is_reduced_by_the_gcd():
     # would not finish.  verify evaluates first, and its oracle then refuses
     # the case at once on its node budget.
     big = 2**61 - 1
-    assert evaluate_integral(3, 2, 0, big, 0) == evaluate_integral(3, 2, 0, 1, 0).scale(big)
+    assert evaluate(IntegralParams(3, 2, 0, big, 0)) == evaluate(IntegralParams(3, 2, 0, 1, 0)).scale(big)
     report = verify(IntegralParams(3, 2, 0, big, 0))
     assert not report.passed and report.reason is not None
 
@@ -215,7 +223,7 @@ def test_factoring_work_is_bounded_before_it_starts():
     # c > 0 with coprime frequencies leaves |L| = p + q prime.  2*10^11 + 41
     # is still factored; 2*10^13 + 21 is over the trial-division limit and is
     # refused at once, by evaluate and by verify, which evaluates first.
-    assert str(evaluate_integral(3, 2, 1, 10**11, 10**11 + 41)) == (
+    assert str(evaluate(IntegralParams(3, 2, 1, 10**11, 10**11 + 41))) == (
         "1000000000041/8*ln(3) + 123/8*ln(41) + 400000000041/8*ln(197) + 199999999959/8*ln(1109)"
         " + 199999999959/8*ln(3463) + 199999999959/8*ln(17359) + 400000000041/8*ln(225606317)"
         " - 600000000123/8*ln(200000000041)"
@@ -227,7 +235,7 @@ def test_factoring_work_is_bounded_before_it_starts():
             call(params)
         assert time.perf_counter() - start < 0.1
     # Same parity factors nothing and is never refused.
-    assert evaluate_integral(3, 3, 1, 10**13, 10**13 + 21).log_coeffs == {}
+    assert evaluate(IntegralParams(3, 3, 1, 10**13, 10**13 + 21)).log_coeffs == {}
 
 
 def test_big_integer_work_is_bounded_before_it_starts():
@@ -245,7 +253,7 @@ def test_big_integer_work_is_bounded_before_it_starts():
             assert excinfo.value.constraint == "bit operations <= 1000000000"
         assert min(elapsed) < 1e-3
     # Below the limit the value is unchanged: its text is 2,146,086 characters.
-    text = str(evaluate_integral(800, 401, 200, 13, 11))
+    text = str(evaluate(IntegralParams(800, 401, 200, 13, 11)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3caa72151568972ec25039449fd0f988b491fba182958119c0e6198b832edf66"
     )
@@ -298,7 +306,7 @@ def test_closed_forms_match_integration_by_parts():
         a = rng.randint(2, 12)
         cases.append((a, rng.randint(2, a), rng.randint(0, 3), rng.randint(-6, 6), rng.randint(-6, 6)))
     for case in cases:
-        assert evaluate_integral(*case) == by_parts(*case), case
+        assert evaluate(IntegralParams(*case)) == by_parts(*case), case
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from sincint import (
     DomainError,
     ExactValue,
-    evaluate_integral,
+    IntegralParams,
+    evaluate,
     parse_exact_value,
     prime_factorization,
     spectrum,
@@ -146,7 +147,7 @@ def test_log_of_nine_with_rational_weight():
     # sin^3(3x) has frequencies 3 and 9; ln(9) = 2 ln(3), so
     # I(3,2,0,3,0) = 3 * I(3,2,0,1,0) = 3 * 3/4 ln(3).
     assert prime_factorization(9) == ((3, 2),)
-    assert evaluate_integral(3, 2, 0, 3, 0) == ExactValue(log_coeffs={3: Fraction(9, 4)})
+    assert evaluate(IntegralParams(3, 2, 0, 3, 0)) == ExactValue(log_coeffs={3: Fraction(9, 4)})
 
 
 def test_log_rejects_nonpositive_argument():
@@ -176,6 +177,27 @@ def test_scale_example():
 
 def test_zero_coefficients_are_dropped_on_construction():
     assert ExactValue(0, {2: Fraction(0)}) == ExactValue()
+
+
+def test_coefficients_are_int_or_fraction():
+    # A float would be kept as its binary fraction: 0.1 as 3602879701896397/2^55.
+    for bad in (0.1, "1/3", True):
+        with pytest.raises(TypeError):
+            ExactValue(pi_coeff=bad)
+        with pytest.raises(TypeError):
+            ExactValue(log_coeffs={3: bad})
+        with pytest.raises(TypeError):
+            ExactValue(pi_coeff=Fraction(1, 2)).scale(bad)
+    assert ExactValue(1, {3: -2}) == ExactValue(Fraction(1), {3: Fraction(-2)})
+    assert ExactValue(pi_coeff=Fraction(1, 2)).scale(3) == ExactValue(pi_coeff=Fraction(3, 2))
+
+
+def test_log_keys_are_checked_before_zero_coefficients_are_dropped():
+    for text in ("1*ln(4)", "1*pi + 0*ln(4)", "0*ln(1)"):
+        with pytest.raises(ValueError, match="log basis entries must be prime"):
+            parse_exact_value(text)
+    with pytest.raises(ValueError, match="log basis entries must be below"):
+        ExactValue(log_coeffs={exact._PRIME_LIMIT: Fraction(0)})
 
 
 def test_nonprime_log_key_rejected():
@@ -248,7 +270,7 @@ def test_text_round_trip(value):
 
 
 def test_log_coeffs_are_read_only():
-    value = evaluate_integral(3, 2, 0, 1, 0)
+    value = evaluate(IntegralParams(3, 2, 0, 1, 0))
     with pytest.raises(TypeError):
         value.log_coeffs[5] = Fraction(1)
     with pytest.raises(TypeError):
@@ -288,7 +310,7 @@ def test_log_coeffs_read_as_a_mapping():
 def test_values_past_the_digit_limit_are_refused():
     # CPython's int/str conversion refuses more than 4,300 digits, so a value
     # past the limit could neither print nor parse back: it is never built.
-    value = evaluate_integral(3, 3, 0, 1, 0)  # 3/8*pi
+    value = evaluate(IntegralParams(3, 3, 0, 1, 0))  # 3/8*pi
     for factor in (10**4400, Fraction(1, 10**4400)):
         with pytest.raises(DomainError, match="the closed form has a coefficient of more than 4300 digits") as info:
             value.scale(factor)

@@ -19,7 +19,6 @@ from sincint import (
     IntegralParams,
     QuadratureError,
     evaluate,
-    evaluate_integral,
     quadrature,
     to_decimal,
     verify,
@@ -67,7 +66,7 @@ def _seeded_values(seed, count, draw):
     values = []
     while len(values) < count:
         try:
-            values.append(evaluate_integral(*draw(rng)))
+            values.append(evaluate(IntegralParams(*draw(rng))))
         except DomainError:
             continue
     return values
@@ -89,7 +88,7 @@ def test_to_decimal_is_bit_identical_to_the_mpf_route():
     values = [
         *_seeded_values(3, 300, _small_case),
         *_seeded_values(5, 12, _large_log_case),
-        evaluate_integral(200, 101, 50, 13, 11),
+        evaluate(IntegralParams(200, 101, 50, 13, 11)),
         ExactValue(),
         *(ExactValue(pi_coeff=Fraction(n, d)) for n, d in ((1, 2), (-3, 8), (5, 1), (1, 10**30))),
         ExactValue(pi_coeff=Fraction(big)),
@@ -116,7 +115,7 @@ def test_to_decimal_large_a_cancellation():
     # The log coefficients reach 4.7e147 and cancel far beyond 50 digits.  A
     # 1,200-digit mpmath sum of the same terms gives this double, and a
     # 1,500-digit sum agrees.
-    assert to_decimal(evaluate_integral(200, 101, 50, 13, 11)) == 1.0004139670736968e87
+    assert to_decimal(evaluate(IntegralParams(200, 101, 50, 13, 11))) == 1.0004139670736968e87
 
 
 def test_quadrature_classic_anchors():
@@ -550,9 +549,9 @@ def test_frequency_scaling_echo():
 
 
 def test_b_one_extension_quadrature():
-    est, bound = quadrature(IntegralParams(1, 1, 0, 1, 0), 1e-6, allow_b1=True)
+    est, bound = quadrature(IntegralParams(1, 1, 0, 1, 0), 1e-6)
     assert abs(est - PI_HALF) <= bound
-    est, bound = quadrature(IntegralParams(3, 1, 0, 1, 0), 1e-6, allow_b1=True)
+    est, bound = quadrature(IntegralParams(3, 1, 0, 1, 0), 1e-6)
     assert abs(est - math.pi / 4) <= bound
 
 
