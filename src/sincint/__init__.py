@@ -11,7 +11,7 @@ independent fixed-pass quadrature of the raw integrand.
 """
 
 from .evaluator import evaluate
-from .exact import ExactValue, parse_exact_value, prime_factorization
+from .exact import ExactValue, parse_exact_value
 from .identities import SweepRecord, SweepReport, boundary_identity_sum, identity_sweep
 from .oracle import (
     DEFAULT_TOL,
@@ -41,7 +41,6 @@ __all__ = [
     "evaluate",
     "identity_sweep",
     "parse_exact_value",
-    "prime_factorization",
     "quadrature",
     "spectrum",
     "to_decimal",

@@ -21,7 +21,7 @@ from .evaluator import evaluate
 from .exact import _MAX_DIGITS
 from .identities import identity_sweep
 from .oracle import DEFAULT_TOL, MIN_TOL, _check_tol, _json_line, to_decimal, verify
-from .params import DomainError, IntegralParams
+from .params import FIELDS, DomainError, IntegralParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,15 +84,7 @@ def _admit(params: IntegralParams, allow_b1: bool) -> IntegralParams:
 
 def _record(params: IntegralParams) -> dict:
     value = evaluate(params)
-    return {
-        "a": params.a,
-        "b": params.b,
-        "c": params.c,
-        "p": params.p,
-        "q": params.q,
-        "exact": str(value),
-        "decimal": to_decimal(value),
-    }
+    return {**vars(params), "exact": str(value), "decimal": to_decimal(value)}
 
 
 def cmd_eval(args) -> int:
@@ -141,25 +133,27 @@ def _batch_line(text: str) -> dict:
         return {"status": "parse_error", "input": text, "error": "fields must be integers"}
     if any(len(field.lstrip("+-")) > _MAX_DIGITS for field in fields):  # int() would refuse them
         return {"status": "parse_error", "input": text, "error": f"fields must have at most {_MAX_DIGITS} digits"}
-    a, b, c, p, q = map(int, fields)
+    values = list(map(int, fields))
     try:
-        record = _record(_admit(IntegralParams(a, b, c, p, q), False))
+        record = _record(_admit(IntegralParams(*values), False))
     except DomainError as exc:
-        return {"a": a, "b": b, "c": c, "p": p, "q": q,
-                "status": "domain_error", "error": exc.constraint}
+        return dict(zip(FIELDS, values), status="domain_error", error=exc.constraint)
     record["status"] = "ok"
     return record
 
 
 def cmd_selftest(args) -> int:
-    """Sweep the boundary identity over a <= 20, c <= 6, p, q <= 7 (44,800
-    tuples), then verify every grid case with a <= 6 and c, p, q <= 2 (270)."""
-    sweep = identity_sweep(20, 6, 7, 7)
-    print(f"identity sweep: {sweep.checked} tuples, {len(sweep.failures)} failures")
-    if not sweep.all_zero:
-        worst = sweep.failures[0]
-        print(f"FIRST FAILURE: identity tuple a={worst.a} c={worst.c} p={worst.p} q={worst.q} h={worst.h}")
-        return EXIT_SELFTEST
+    """Sweep the boundary identity over a <= 20, c <= 6, p, q <= 7 (44,800 tuples)
+    and over p <= 18, q <= 1 (26,600), which proves it for every p and q (see
+    identity_sweep), then verify every grid case with a <= 6 and c, p, q <= 2 (270)."""
+    for label, box in (("identity sweep", (20, 6, 7, 7)),
+                       ("boundary identity for every p, q with a <= 20, c <= 6", (20, 6, 18, 1))):
+        sweep = identity_sweep(*box)
+        print(f"{label}: {sweep.checked} tuples, {len(sweep.failures)} failures")
+        if not sweep.all_zero:
+            worst = sweep.failures[0]
+            print(f"FIRST FAILURE: identity tuple a={worst.a} c={worst.c} p={worst.p} q={worst.q} h={worst.h}")
+            return EXIT_SELFTEST
 
     checked = 0
     for a in range(2, 7):
@@ -185,8 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if _DECIMAL.fullmatch(text) is None:
                 raise ValueError(text)
-            args.tol = float(text)
-            _check_tol(args.tol)
+            args.tol = _check_tol(float(text))
         except ValueError:
             print(f"usage error: --tol {text!r} is not a finite number >= {MIN_TOL}", file=sys.stderr)
             return EXIT_USAGE

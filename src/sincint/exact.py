@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping
 
 from .params import DomainError
-
-RationalLike = Union[Fraction, int]
 
 __all__ = [
     "ExactValue",
@@ -120,7 +118,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _rational(x: RationalLike) -> Fraction:
+def _rational(x: int) -> Fraction:
     """An int as a Fraction; a float, str or bool is no exact coefficient."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"exact coefficients are int or Fraction, got {x!r}")
@@ -131,13 +129,13 @@ def _rational(x: RationalLike) -> Fraction:
 class ExactValue:
     """A number of the form  pi_coeff*pi + sum log_coeffs[rho]*ln(rho).
 
-    Coefficients and scale factors are int or Fraction; a float, str or
-    bool raises TypeError.  Invariants (restored on construction): every log
-    key is prime, zero coefficient or not, no stored coefficient is zero,
-    and the zero value has pi_coeff == 0 with an empty map.  A numerator or
+    Coefficients are int or Fraction; a float, str or bool raises
+    TypeError.  Invariants (restored on construction): every log key is
+    prime, zero coefficient or not, no stored coefficient is zero, and the
+    zero value has pi_coeff == 0 with an empty map.  A numerator or
     denominator of more than _MAX_DIGITS digits raises DomainError, so every
     value prints and parses back.  Instances are immutable, log_coeffs a
-    read-only view, and hashable; scale returns a new value.
+    read-only view, and hashable: new values come from the constructor.
     """
 
     pi_coeff: Fraction = Fraction(0)
@@ -170,16 +168,6 @@ class ExactValue:
         # A mapping proxy does not pickle; the constructor rebuilds it.
         return ExactValue, (self.pi_coeff, dict(self.log_coeffs))
 
-    def scale(self, factor: RationalLike) -> "ExactValue":
-        """Multiply every coefficient by an exact rational factor."""
-        r = factor if isinstance(factor, Fraction) else _rational(factor)
-        if r == 0:
-            return ExactValue()
-        return ExactValue(
-            self.pi_coeff * r,
-            {prime: coeff * r for prime, coeff in self.log_coeffs.items()},
-        )
-
     def __str__(self) -> str:
         parts: list[tuple[Fraction, str]] = []
         if self.pi_coeff:
@@ -200,14 +188,16 @@ class ExactValue:
         return "".join(pieces)
 
 
-_TERM_RE = re.compile(r"^(-?)([0-9]+)(?:/([0-9]+))?\*(pi|ln\(([0-9]+)\))$")
+_TERM_RE = re.compile(r"^(-?)([0-9]+)(?:/(0*[1-9][0-9]*))?\*(pi|ln\(([0-9]+)\))$")  # no zero denominator
 
 
 def parse_exact_value(text: str) -> ExactValue:
     """Parse the canonical text form produced by str(ExactValue).
 
     Grammar: "0", or terms "<rational>*pi" and "<rational>*ln(<prime>)"
-    joined by " + " / " - ", pi first and primes ascending.
+    joined by " + " / " - ", pi first and primes ascending.  A number of more
+    than _MAX_DIGITS digits raises DomainError before it is converted, so the
+    error and its cost do not depend on sys.set_int_max_str_digits.
     """
     s = text.strip()
     if s == "0":
@@ -219,9 +209,12 @@ def parse_exact_value(text: str) -> ExactValue:
     logs: dict[int, Fraction] = {}
     for token in tokens:
         m = _TERM_RE.match(token.strip())
-        if m is None or m[3] is not None and int(m[3]) == 0:  # a zero denominator is no rational
+        if m is None:
             raise ValueError(f"unparseable exact-value term: {token!r}")
         sign, num, den, unit, prime = m.groups()
+        if max(len(num), len(den or ""), len(prime or "")) > _MAX_DIGITS:
+            raise DomainError(f"exact value digits <= {_MAX_DIGITS}",
+                              f"the exact-value text has a number of more than {_MAX_DIGITS} digits")
         coeff = Fraction(int(num), int(den) if den else 1)
         if sign:
             coeff = -coeff

@@ -95,6 +95,13 @@ def identity_sweep(max_a: int, max_c: int, max_p: int, max_q: int) -> SweepRepor
     the terms for the smallest h, times L^2 per further h.  No key is
     assumed to share the parity of a p + c q, and each tuple's sum is
     compared with 0 exactly.
+
+    A clean box with max_p >= max_a - 2 and max_q >= 1 proves the identity
+    for every integer p and q with a <= max_a, c <= max_c.  Each spectrum
+    term has L = (a-2i)p +- (c-2j)q and a weight free of p and q, and neither
+    merging keys nor folding -L onto L (weight times (-1)^a = (-1)^h) changes
+    the sum, so it is (-1)^(ap+cq) times a homogeneous polynomial of degree h
+    in (p, q): its h + 1 zeros at q = 1, p = 0, ..., h make it zero.
     """
     if max_a < 2 or max_c < 0 or max_p < 0 or max_q < 0:
         raise ValueError("sweep bounds must cover at least one valid tuple")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -345,19 +346,26 @@ def _reduced_quadrature(a: int, b: int, c: int, p: int, q: int, tol: float) -> t
     return head + tail[0], head_err + tail[1]
 
 
-def _check_tol(tol: float) -> None:
-    if not MIN_TOL <= tol < math.inf:  # also rejects NaN
+def _check_tol(tol: float) -> float:
+    """tol as a float; ValueError unless it is a real number, not a bool, finite and >= MIN_TOL."""
+    try:
+        value = float(tol) if isinstance(tol, numbers.Real) and not isinstance(tol, bool) else math.nan
+    except OverflowError:  # an int or Fraction past double range
+        value = math.inf
+    if not MIN_TOL <= value < math.inf:  # also rejects NaN
         raise ValueError(f"tolerance {tol!r} is not a finite number >= {MIN_TOL}, the double-precision oracle's floor")
+    return value
 
 
 def quadrature(params: IntegralParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Estimate the integral directly; returns (estimate, error_bound).
 
     The estimate carries the sign(p)^a factor, matching the exact evaluator,
-    and the bound satisfies |true - estimate| <= error_bound <= tol.  Raises
-    QuadratureError when the tolerance cannot be certified.
+    and the bound satisfies |true - estimate| <= error_bound <= tol, any real
+    number but a bool, read as a float (ValueError outside [MIN_TOL, inf)).
+    Raises QuadratureError when the tolerance cannot be certified.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     validate_for_evaluation(params)
     a, b, c = params.a, params.b, params.c
     # The integrand depends on q only through |q| (not at all when c = 0),
@@ -405,11 +413,7 @@ class VerifyReport:
 
     def to_json(self) -> str:
         record = {
-            "a": self.params.a,
-            "b": self.params.b,
-            "c": self.params.c,
-            "p": self.params.p,
-            "q": self.params.q,
+            **vars(self.params),
             "exact": str(self.exact),
             "exact_decimal": self.exact_decimal,
             "oracle": self.oracle_estimate,
@@ -436,9 +440,9 @@ def verify(params: IntegralParams, tol: float = DEFAULT_TOL) -> VerifyReport:
     The verdict is pass when |exact - oracle| <= tol + oracle error bound.
     A quadrature failure yields a failing report with the reason attached
     rather than an exception.  A tolerance quadrature would refuse raises
-    ValueError before any evaluation.
+    ValueError before any evaluation; the report holds it as a float.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     exact = evaluate(params)
     exact_decimal = to_decimal(exact)
     estimate = bound = abs_diff = reason = None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class DomainError(ValueError):
@@ -24,7 +24,8 @@ class IntegralParams:
     a is the sine exponent, b the power of x, c the cosine exponent, p and q
     the sine and cosine frequencies (either sign).  Construction enforces the
     structural constraints a >= b >= 1 and c >= 0; the divergence of b = 1
-    with even a is refused at evaluation time.
+    with even a is refused at evaluation time.  The fields, in this order,
+    open every JSON record of a case: vars(params), or FIELDS before one exists.
     """
 
     a: int
@@ -34,7 +35,7 @@ class IntegralParams:
     q: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "p", "q"):
+        for name in FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DomainError(
@@ -47,6 +48,9 @@ class IntegralParams:
             raise DomainError("a >= b")
         if self.c < 0:
             raise DomainError("c >= 0")
+
+
+FIELDS = tuple(field.name for field in fields(IntegralParams))
 
 
 def validate_for_evaluation(params: IntegralParams) -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import sincint.cli as cli
 import sincint.identities as identities
 import sincint.oracle as oracle
-from sincint import IntegralParams, evaluate, parse_exact_value
+from sincint import IntegralParams, SweepRecord, SweepReport, evaluate, parse_exact_value, verify
 from sincint.oracle import VerifyReport
 from sincint.exact import ExactValue
 
@@ -272,6 +272,17 @@ def test_batch_domain_error_reported_inline(tmp_path, capsys):
     record = json.loads(out)
     assert record["status"] == "domain_error"
     assert record["error"] == "a >= b"
+
+
+def test_records_open_with_the_case_fields_in_order(tmp_path, capsys):
+    path = tmp_path / "cases.txt"
+    path.write_text("3 2 0 1 0\n2 3 0 1 0\n")
+    code, out, _ = run_cli(["batch", str(path)], capsys)
+    ok, refused = map(json.loads, out.splitlines())
+    assert (code, ok["status"], refused["status"]) == (3, "ok", "domain_error")
+    report = json.loads(verify(IntegralParams(3, 2, 0, 1, 0)).to_json())
+    for record in (ok, refused, report):
+        assert list(record)[:5] == ["a", "b", "c", "p", "q"]
 
 
 def test_factoring_over_the_work_limit_is_a_domain_error(tmp_path, capsys):
@@ -536,7 +547,9 @@ def test_exact_string_round_trip_through_cli_records(tmp_path, capsys):
 def test_selftest_small_bounds(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
-    assert out == "identity sweep: 44800 tuples, 0 failures\noracle grid: 270 cases, 0 failures\n"
+    assert out == ("identity sweep: 44800 tuples, 0 failures\n"
+                   "boundary identity for every p, q with a <= 20, c <= 6: 26600 tuples, 0 failures\n"
+                   "oracle grid: 270 cases, 0 failures\n")
 
 
 # 3000^3 * pi/3 needs relative precision 3.5e-17 to meet 1e-6: below double rounding.
@@ -600,6 +613,21 @@ def test_selftest_names_a_failing_identity_tuple(capsys, monkeypatch):
     assert code == 4
     assert "identity sweep: 44800 tuples, 4032 failures" in out
     assert "FIRST FAILURE: identity tuple a=3 c=0 p=0 q=0 h=1" in out
+
+
+def test_selftest_names_a_failing_tuple_of_the_every_frequency_box(capsys, monkeypatch):
+    real_sweep = cli.identity_sweep
+
+    def sweep(*box):
+        report = real_sweep(*box)
+        return SweepReport(report.checked, (SweepRecord(4, 0, 18, 1, 2),)) if box[2] == 18 else report
+
+    monkeypatch.setattr(cli, "identity_sweep", sweep)
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 4
+    assert out == ("identity sweep: 44800 tuples, 0 failures\n"
+                   "boundary identity for every p, q with a <= 20, c <= 6: 26600 tuples, 1 failures\n"
+                   "FIRST FAILURE: identity tuple a=4 c=0 p=18 q=1 h=2\n")
 
 
 def test_selftest_reports_injected_oracle_fault(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_trig import derivative, product_expansion
+from scaling import rescaled
 from sincint import (
     DomainError,
     ExactValue,
@@ -82,7 +83,7 @@ def test_exact_scaling_law_for_pure_sine():
             base = evaluate(IntegralParams(a, b, 0, 1, 0))
             for p in range(1, 10):
                 scaled = evaluate(IntegralParams(a, b, 0, p, 0))
-                assert scaled == base.scale(Fraction(p) ** (b - 1))
+                assert scaled == rescaled(base, Fraction(p) ** (b - 1))
 
 
 @given(
@@ -97,7 +98,7 @@ def test_sign_symmetry_property(a, b, c, p, q):
         a, b = b, a
     flipped = evaluate(IntegralParams(a, b, c, -p, q))
     direct = evaluate(IntegralParams(a, b, c, p, q))
-    assert flipped == (direct.scale(-1) if a % 2 else direct)
+    assert flipped == (rescaled(direct, -1) if a % 2 else direct)
 
 
 @given(
@@ -204,7 +205,7 @@ def test_desk_scale_powers_stay_exact():
     # prime-basis scaling law must still hold with exact equality.
     base = evaluate(IntegralParams(20, 19, 0, 1, 0))
     scaled = evaluate(IntegralParams(20, 19, 0, 9, 0))
-    assert scaled == base.scale(Fraction(9) ** 18)
+    assert scaled == rescaled(base, Fraction(9) ** 18)
     assert scaled.pi_coeff == 0
     assert any(coeff.numerator > 10**18 for coeff in scaled.log_coeffs.values())
 
@@ -214,7 +215,7 @@ def test_large_prime_frequency_is_reduced_by_the_gcd():
     # would not finish.  verify evaluates first, and its oracle then refuses
     # the case at once on its node budget.
     big = 2**61 - 1
-    assert evaluate(IntegralParams(3, 2, 0, big, 0)) == evaluate(IntegralParams(3, 2, 0, 1, 0)).scale(big)
+    assert evaluate(IntegralParams(3, 2, 0, big, 0)) == rescaled(evaluate(IntegralParams(3, 2, 0, 1, 0)), big)
     report = verify(IntegralParams(3, 2, 0, big, 0))
     assert not report.passed and report.reason is not None
 
@@ -327,7 +328,7 @@ _a_and_b = st.integers(min_value=2, max_value=10).flatmap(
 def test_double_angle_relation(ab, p):
     # sin^a(px) cos^a(px) = 2^-a sin^a(2px)
     a, b = ab
-    assert exact(a, b, a, p, p) == exact(a, b, 0, 2 * p, 0).scale(Fraction(1, 2**a))
+    assert exact(a, b, a, p, p) == rescaled(exact(a, b, 0, 2 * p, 0), Fraction(1, 2**a))
 
 
 @settings(max_examples=300)
@@ -352,4 +353,4 @@ def test_pythagorean_relation(ab, c, p):
 def test_gcd_scaling_law_with_cosine_factor(ab, c, p, q, g):
     # u = g x: I(a,b,c,gp,gq) = g^(b-1) I(a,b,c,p,q); criterion 4 covers c = 0 only.
     a, b = ab
-    assert exact(a, b, c, g * p, g * q) == exact(a, b, c, p, q).scale(Fraction(g) ** (b - 1))
+    assert exact(a, b, c, g * p, g * q) == rescaled(exact(a, b, c, p, q), Fraction(g) ** (b - 1))

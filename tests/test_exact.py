@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -11,16 +12,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scaling import rescaled
 from sincint import (
     DomainError,
     ExactValue,
     IntegralParams,
     evaluate,
     parse_exact_value,
-    prime_factorization,
     spectrum,
 )
 from sincint import exact
+from sincint.exact import prime_factorization
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -170,11 +172,6 @@ def test_log_homomorphism(m, n):
 # ExactValue algebra
 
 
-def test_scale_example():
-    value = ExactValue(log_coeffs={3: Fraction(3, 4)})
-    assert value.scale(-4) == ExactValue(log_coeffs={3: Fraction(-3)})
-
-
 def test_zero_coefficients_are_dropped_on_construction():
     assert ExactValue(0, {2: Fraction(0)}) == ExactValue()
 
@@ -186,10 +183,7 @@ def test_coefficients_are_int_or_fraction():
             ExactValue(pi_coeff=bad)
         with pytest.raises(TypeError):
             ExactValue(log_coeffs={3: bad})
-        with pytest.raises(TypeError):
-            ExactValue(pi_coeff=Fraction(1, 2)).scale(bad)
     assert ExactValue(1, {3: -2}) == ExactValue(Fraction(1), {3: Fraction(-2)})
-    assert ExactValue(pi_coeff=Fraction(1, 2)).scale(3) == ExactValue(pi_coeff=Fraction(3, 2))
 
 
 def test_log_keys_are_checked_before_zero_coefficients_are_dropped():
@@ -288,7 +282,7 @@ def test_hash_agrees_with_equality(value):
     # The same value built from its terms in reverse order is equal and hashes equal.
     rebuilt = ExactValue(value.pi_coeff, dict(reversed(value.log_coeffs.items())))
     assert rebuilt == value and hash(rebuilt) == hash(value)
-    assert len({value, rebuilt, value.scale(2)}) == 1 + (value != value.scale(2))
+    assert len({value, rebuilt, rescaled(value, 2)}) == 1 + (value != rescaled(value, 2))
 
 
 @given(_exact_values)
@@ -313,7 +307,7 @@ def test_values_past_the_digit_limit_are_refused():
     value = evaluate(IntegralParams(3, 3, 0, 1, 0))  # 3/8*pi
     for factor in (10**4400, Fraction(1, 10**4400)):
         with pytest.raises(DomainError, match="the closed form has a coefficient of more than 4300 digits") as info:
-            value.scale(factor)
+            rescaled(value, factor)
         assert info.value.constraint == "exact value digits <= 4300"
     limit = 10**4300
     for pi_coeff, logs in ((Fraction(limit), {}), (0, {2: Fraction(1, limit)}), (0, {3: Fraction(-limit, 7)})):
@@ -322,7 +316,26 @@ def test_values_past_the_digit_limit_are_refused():
     # Just under the limit: 4,300-digit numerators and denominators round-trip.
     under = ExactValue(Fraction(limit - 1, limit - 3), {2: Fraction(-(limit - 1)), 7: Fraction(1, limit - 1)})
     assert parse_exact_value(str(under)) == under
-    assert parse_exact_value(str(value.scale(Fraction(limit - 1, 3)))) == value.scale(Fraction(limit - 1, 3))
+    assert parse_exact_value(str(rescaled(value, Fraction(limit - 1, 3)))) == rescaled(value, Fraction(limit - 1, 3))
+
+
+def test_parse_refuses_long_numbers_whatever_the_interpreter_limit():
+    # Under CPython's default limit int() would raise its own ValueError on 4,301
+    # digits; with the limit off it would convert the number first.
+    long = "1" * 4301
+    saved = sys.get_int_max_str_digits()
+    for text in (f"{long}*pi", f"-1/{long}*pi", f"1*ln({long})"):
+        outcomes = []
+        for limit in (4300, 0):
+            sys.set_int_max_str_digits(limit)
+            try:
+                with pytest.raises(ValueError) as info:
+                    parse_exact_value(text)
+            finally:
+                sys.set_int_max_str_digits(saved)
+            outcomes.append((type(info.value), str(info.value), info.value.constraint))
+        assert outcomes[0] == outcomes[1] == (
+            DomainError, "the exact-value text has a number of more than 4300 digits", "exact value digits <= 4300")
 
 
 def test_parse_rejects_garbage():

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ import pytest
 
 import sincint.oracle as oracle_module
 from reference_trig import product_expansion
+from scaling import rescaled
 from sincint import (
     DomainError,
     ExactValue,
@@ -45,7 +47,7 @@ def test_to_decimal_zero():
 def test_to_decimal_scaling_stays_within_ulps():
     value = ExactValue(Fraction(1, 3), {2: Fraction(-5, 8), 5: Fraction(7, 3)})
     for factor in (Fraction(2), Fraction(3, 7), Fraction(11, 4)):
-        scaled = to_decimal(value.scale(factor))
+        scaled = to_decimal(rescaled(value, factor))
         direct = float(factor) * to_decimal(value)
         assert abs(scaled - direct) <= 4 * math.ulp(max(abs(scaled), abs(direct)))
 
@@ -140,7 +142,9 @@ def test_quadrature_signed_estimate():
 
 
 def test_quadrature_rejects_tolerance_below_floor():
-    for tol in (1e-9, math.nan, math.inf):
+    # A bool is an int to Python but no tolerance, a str or Decimal is no real
+    # number, and 10^400 is past double range.
+    for tol in (1e-9, math.nan, math.inf, True, "1e-6", Decimal("1e-6"), 10**400):
         with pytest.raises(ValueError):
             quadrature(IntegralParams(2, 2, 0, 1, 0), tol)
         with pytest.raises(ValueError):
@@ -156,6 +160,16 @@ def test_verify_checks_its_tolerance_before_evaluating(monkeypatch):
     for tol in (1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"is not a finite number >= 1e-08, the double-precision oracle's floor"):
             verify(IntegralParams(100001, 2, 0, 1, 0), tol)
+
+
+@pytest.mark.parametrize("tol", [1, np.float64(1e-6), np.float32(1e-6), Fraction(1, 10**6)])
+def test_any_real_tolerance_is_read_as_a_float(tol):
+    # A numpy tolerance made pass a numpy bool, which json refuses.
+    report = verify(IntegralParams(2, 2, 0, 1, 0), tol)
+    assert type(report.tolerance) is float and report.tolerance == float(tol)
+    record = json.loads(report.to_json())
+    assert type(record["tol"]) is float and record["tol"] == float(tol)
+    assert record["pass"] is True
 
 
 def test_quadrature_fails_loudly_on_tiny_budget(monkeypatch):
