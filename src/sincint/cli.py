@@ -6,9 +6,9 @@ a verify disagreement, 5 a verify the oracle could not certify (the report
 carries a reason; this says nothing against the closed form).
 verify's --tol sets its tolerance (default DEFAULT_TOL); a value that is not
 an ASCII decimal literal of a finite number no smaller than MIN_TOL exits 1.
-b = 1 needs --allow-b1, which only eval and verify take.  verify and batch
-print JSON, as eval does with --format json; it is strict RFC 8259: a
-decimal outside double range is written as null.
+b = 1 needs --allow-b1, which only eval and verify take.  eval prints
+"exact = decimal" (inf outside double range); verify and batch print strict
+RFC 8259 JSON, where a decimal outside double range is written as null.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--allow-b1", action="store_true", help="accept b = 1 (odd a only)")
 
     p_eval = sub.add_parser("eval", parents=[params], help="print the exact closed form and its decimal value")
-    p_eval.add_argument("--format", choices=("plain", "json"), default="plain")
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", parents=[params], help="cross-check the closed form against quadrature")
@@ -82,17 +81,9 @@ def _admit(params: IntegralParams, allow_b1: bool) -> IntegralParams:
     return params
 
 
-def _record(params: IntegralParams) -> dict:
-    value = evaluate(params)
-    return {**vars(params), "exact": str(value), "decimal": to_decimal(value)}
-
-
 def cmd_eval(args) -> int:
-    record = _record(_admit(IntegralParams(args.a, args.b, args.c, args.p, args.q), args.allow_b1))
-    if args.format == "json":
-        print(_json_line(record))
-    else:
-        print(f"{record['exact']} = {record['decimal']!r}")
+    value = evaluate(_admit(IntegralParams(args.a, args.b, args.c, args.p, args.q), args.allow_b1))
+    print(f"{value} = {to_decimal(value)!r}")
     return EXIT_OK
 
 
@@ -135,11 +126,11 @@ def _batch_line(text: str) -> dict:
         return {"status": "parse_error", "input": text, "error": f"fields must have at most {_MAX_DIGITS} digits"}
     values = list(map(int, fields))
     try:
-        record = _record(_admit(IntegralParams(*values), False))
+        params = _admit(IntegralParams(*values), False)
+        value = evaluate(params)
     except DomainError as exc:
         return dict(zip(FIELDS, values), status="domain_error", error=exc.constraint)
-    record["status"] = "ok"
-    return record
+    return {**vars(params), "exact": str(value), "decimal": to_decimal(value), "status": "ok"}
 
 
 def cmd_selftest(args) -> int:

@@ -91,11 +91,11 @@ _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def _is_prime(n: int) -> bool:
-    """Primality of n in one gcd and at most 13 modular powers.
+    """Primality of n < _PRIME_LIMIT in one gcd and at most 13 modular powers.
 
     A factor up to 41 is found by the gcd, which decides every n < 43^2;
-    above that the Miller-Rabin ladder runs until n < psi_k.  The answer is
-    proven for n < _PRIME_LIMIT; above it True means a strong probable prime.
+    above that the Miller-Rabin ladder runs until n < psi_k, which proves
+    the answer.  ExactValue refuses a key of _PRIME_LIMIT or more before it asks.
     """
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return n in _SMALL_PRIMES

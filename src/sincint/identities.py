@@ -46,7 +46,7 @@ def boundary_identity_sum(a: int, c: int, p: int, q: int, h: int) -> int:
 
 
 def _boundary_values(weights: dict[int, int], hs: range) -> list[int]:
-    """[sum of w * (-1)^L * L^h over {L: w} for h in hs], hs a step-2 range."""
+    """[sum of w * (-1)^L * L^h over {L: w} for h in hs], hs a step-2 range or one h."""
     if not hs:
         return []
     h0, terms, squares = hs.start, [], []

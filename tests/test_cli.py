@@ -54,19 +54,6 @@ def test_eval_plain_log_value(capsys):
     assert out.startswith("3/4*ln(3) = ")
 
 
-def test_eval_json_record(capsys):
-    code, out, _ = run_cli(
-        ["eval", "-a", "3", "-b", "2", "-c", "0", "-p", "1", "-q", "0", "--format", "json"],
-        capsys,
-    )
-    assert code == 0
-    record = json.loads(out)
-    assert record == {
-        "a": 3, "b": 2, "c": 0, "p": 1, "q": 0,
-        "exact": "3/4*ln(3)", "decimal": 0.8239592165010823,
-    }
-
-
 def test_eval_domain_error_names_constraint(capsys):
     # verify reports a domain error the same way, before any quadrature.
     for command in ("eval", "verify"):
@@ -113,10 +100,13 @@ def test_batch_refuses_b_one(tmp_path, capsys):
 
 
 def test_options_without_a_caller_are_usage_errors(tmp_path, capsys):
-    # verify and batch print JSON only, batch refuses b = 1 and selftest runs at the default tolerance.
+    # eval prints plain text only, verify and batch print JSON only, batch refuses b = 1
+    # and selftest runs at the default tolerance.
     path = tmp_path / "cases.txt"
     path.write_text("1 1 0 1 0\n2 2 0 1 0\n")
-    for command, option in ((["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], "--format json"),
+    for command, option in ((["eval", "-a", "3", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], "--format json"),
+                            (["eval", "-a", "3", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], "--format plain"),
+                            (["verify", "-a", "2", "-b", "2", "-c", "0", "-p", "1", "-q", "0"], "--format json"),
                             (["batch", str(path)], "--format json"),
                             (["batch", str(path)], "--allow-b1"),
                             (["selftest"], "--tol 1e-6")):
@@ -210,12 +200,10 @@ def test_cli_and_library_accept_the_same_tolerances(tol, capsys):
     assert (code == 0) == (tol in {"1e-8", "0.00000001", "1e300"})
 
 
-def test_eval_json_out_of_double_range_is_null(capsys):
-    code, out, _ = run_cli(["eval", *OVERFLOW_ARGS, "--format", "json"], capsys)
+def test_eval_out_of_double_range_prints_inf(capsys):
+    code, out, _ = run_cli(["eval", *OVERFLOW_ARGS], capsys)
     assert code == 0
-    record = strict_json(out)
-    assert record["decimal"] is None
-    assert parse_exact_value(record["exact"]) == evaluate(IntegralParams(300, 300, 0, 1000, 0))
+    assert out == f"{evaluate(IntegralParams(300, 300, 0, 1000, 0))} = inf\n"
 
 
 def test_batch_json_out_of_double_range_is_null(tmp_path, capsys):
@@ -442,12 +430,12 @@ _A_B = st.integers(1, 30).flatmap(lambda a: st.tuples(st.just(a), st.integers(1,
 
 @settings(max_examples=80, deadline=None)
 @given(_A_B, st.integers(0, 8), st.integers(-60, 60), st.integers(-60, 60),
-       st.sampled_from([["eval"], ["eval", "--format", "json"], ["verify"]]), st.booleans())
+       st.sampled_from(["eval", "verify"]), st.booleans())
 def test_eval_and_verify_exit_with_one_clean_output(a_b, c, p, q, command, allow_b1):
     # Well-formed commands of small magnitude, both frequency signs: a value, a
     # domain error or an unverifiable report, never a disagreement (exit 4).
     a, b = a_b
-    argv = command + ["-a", str(a), "-b", str(b), "-c", str(c), "-p", str(p), "-q", str(q)]
+    argv = [command, "-a", str(a), "-b", str(b), "-c", str(c), "-p", str(p), "-q", str(q)]
     argv += ["--allow-b1"] * allow_b1
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -460,7 +448,7 @@ def test_eval_and_verify_exit_with_one_clean_output(a_b, c, p, q, command, allow
     text = out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1
     line = text[:-1]
-    if command == ["eval"]:
+    if command == "eval":
         exact, _, decimal = line.partition(" = ")
         assert str(parse_exact_value(exact)) == exact
         assert repr(float(decimal)) == decimal

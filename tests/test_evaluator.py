@@ -253,6 +253,14 @@ def test_big_integer_work_is_bounded_before_it_starts():
             elapsed.append(time.perf_counter() - start)
             assert excinfo.value.constraint == "bit operations <= 1000000000"
         assert min(elapsed) < 1e-3
+    # The estimate by hand for (100001, 2, 1, 3, 1), where |p'| = 3 > 1: max |L| =
+    # 3a + c = 300,004 (19 bits), 50,001 products and 100,002 distinct |L| of
+    # a + c + 19 + 1 = 100,022 bits; 50,001 * 100,002 + 100,002 * 100,022, plus
+    # 2 * 300,004 // 19 = 31,579 primes times 100,022^2 >> 9 for the log case:
+    # 5,000,200,002 + 10,002,400,044 + 617,048,755,633.
+    with pytest.raises(DomainError) as excinfo:
+        evaluate(IntegralParams(100001, 2, 1, 3, 1))
+    assert str(excinfo.value) == "the closed form needs about 632051355679 bit operations"
     # Below the limit the value is unchanged: its text is 2,146,086 characters.
     text = str(evaluate(IntegralParams(800, 401, 200, 13, 11)))
     assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -128,6 +128,10 @@ def test_sweep_small_bounds_all_pass():
     report = identity_sweep(4, 2, 2, 2)
     assert report.checked > 0
     assert report.all_zero
+    # max_p = 0 is a box of its own: p = 0 only, 1 + 1 + 2 values of h for
+    # a = 2, 3, 4, times 3 values of c and 3 of q.
+    report = identity_sweep(4, 2, 0, 2)
+    assert (report.checked, report.failures) == (36, ())
 
 
 def swept_tuples(monkeypatch, *bounds):

@@ -228,9 +228,14 @@ def test_node_budget_refuses_before_the_fft(monkeypatch):
 
 
 def test_node_budget_refuses_a_long_tail_before_head_sampling(monkeypatch):
-    # I(2, 2, 0, 1, 0) has 120 nodes a period and its tail needs 4 periods at
-    # 1e-6; a budget of two periods refuses the doubling to 4 before the head
+    # I(2, 2, 0, 1, 0) has 120 nodes a period and its tail, within a quarter of
+    # 1e-6, needs 4 periods (8 within an eighth): the head is one pass of 480
+    # nodes.  A budget of two periods refuses the doubling to 4 before the head
     # is sampled at all.
+    calls = _counting_sampler(monkeypatch)
+    quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
+    assert calls == [480]
+
     def no_sampling(*args):
         raise AssertionError("the head was sampled")
 
@@ -254,7 +259,7 @@ def test_certified_bound_covers_the_three_final_roundings(monkeypatch):
     # first would not cover it above about 9,000.
     monkeypatch.setattr(oracle_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (16384.5, 0.0))
     est, bound = quadrature(IntegralParams(5, 3, 0, 3, 0), 1e-6)  # g^(b-1) = 9
-    assert est == 147460.5 and bound >= 1.5 * math.ulp(est)
+    assert est == 147460.5 and bound == 1.5 * math.ulp(1.0) * est  # 1.5 eps |est| >= 1.5 ulp(est)
 
 
 def test_a_gauss_bound_past_double_range_is_refused(monkeypatch):
