@@ -3,7 +3,11 @@
 Exit codes discriminate failure classes so scripts can branch on them:
 1 usage error, 2 domain error, 3 partial batch failure, 4 selftest failure or
 a verify disagreement, 5 a verify the oracle could not certify (the report
-carries a reason; this says nothing against the closed form).
+carries a reason; this says nothing against the closed form), 141 (128 +
+SIGPIPE, as a shell reports for cat) when the reader of stdout closed it early.
+batch reads its input a line at a time; a read or decode error part-way
+through keeps the records already printed, adds one "cannot read" line on
+stderr and exits 1.
 verify's --tol sets its tolerance (default DEFAULT_TOL); a value that is not
 an ASCII decimal literal of a finite number no smaller than MIN_TOL exits 1.
 b = 1 needs --allow-b1, which only eval and verify take.  eval prints
@@ -14,8 +18,10 @@ RFC 8259 JSON, where a decimal outside double range is written as null.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from typing import Iterator
 
 from .evaluator import evaluate
 from .exact import _MAX_DIGITS
@@ -29,6 +35,7 @@ EXIT_DOMAIN = 2
 EXIT_BATCH = 3
 EXIT_SELFTEST = 4
 EXIT_UNVERIFIABLE = 5
+EXIT_PIPE = 141
 # int() and float() alone also read "1_0", blanks around the number and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -97,14 +104,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    read_errors: list[Exception] = []
     any_failed = False
-    for line in lines:
+    for line in _read_lines(args.input, read_errors):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -112,7 +114,24 @@ def cmd_batch(args) -> int:
         if record.get("status") != "ok":
             any_failed = True
         print(_json_line(record))
+    if read_errors:
+        print(f"cannot read {args.input}: {read_errors[0]}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_BATCH if any_failed else EXIT_OK
+
+
+def _read_lines(path: str, errors: list[Exception]) -> Iterator[str]:
+    """The lines of path as they are consumed, so memory does not grow with the file.
+
+    An error opening, reading or decoding it ends the lines and is appended to
+    errors.  Errors writing the output are raised where they happen, in the
+    caller, and are never taken for it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        errors.append(exc)
 
 
 def _batch_line(text: str) -> dict:
@@ -175,10 +194,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"usage error: --tol {text!r} is not a finite number >= {MIN_TOL}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # output still buffered meets a closed pipe here, not at exit
+        return code
     except DomainError as exc:
         print(f"domain error: {exc} [{exc.constraint}]", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader closed stdout (sincint batch F | head -1).  Pointing stdout
+        # at devnull keeps the interpreter's final flush from raising again
+        # (the Python docs' note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

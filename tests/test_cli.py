@@ -507,6 +507,49 @@ def test_batch_unreadable_file(tmp_path, capsys):
     assert err.startswith(f"cannot read {not_utf8}: ")
 
 
+def test_batch_keeps_the_records_before_a_late_decode_error(tmp_path, capsys):
+    # Text-mode decoding reads 8 KiB at a time, so the invalid byte after
+    # 20 KB of valid lines is met only once records have been printed.
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"2 2 0 1 0\n" * 2000 + b"\xff\n" + b"3 2 0 1 0\n" * 10)
+    code, out, err = run_cli(["batch", str(path)], capsys)
+    assert code == 1
+    records = out.splitlines()
+    assert 0 < len(records) <= 2000
+    assert all(strict_json(line) == {"a": 2, "b": 2, "c": 0, "p": 1, "q": 0, "exact": "1/2*pi",
+                                     "decimal": 1.5707963267948966, "status": "ok"} for line in records)
+    assert err.count("\n") == 1 and err.startswith(f"cannot read {path}: ")
+
+
+def test_batch_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # 20,000 records are about 2 MB, far past the pipe's and stdout's buffers.
+    path = tmp_path / "cases.txt"
+    path.write_text("2 2 0 1 0\n" * 20000)
+    proc = subprocess.Popen([sys.executable, "-m", "sincint.cli", "batch", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert strict_json(proc.stdout.readline())["status"] == "ok"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err
+    assert proc.returncode == cli.EXIT_PIPE == 141
+
+
+def test_short_output_into_a_closed_pipe_exits_141_without_an_error():
+    # One line stays in stdout's buffer (PYTHONUNBUFFERED unset) until it is
+    # flushed, so the closed pipe is met by that flush and not by print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sincint.cli", "eval", "-a", "3", "-b", "3", "-c", "0",
+                               "-p", "1", "-q", "0"], stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
+
+
 def test_batch_deterministic_output(tmp_path, capsys):
     path = tmp_path / "cases.txt"
     path.write_text("5 3 2 2 3\n3 2 0 -1 0\n")
@@ -634,6 +677,27 @@ def test_selftest_names_an_unverifiable_first_failure(capsys, monkeypatch):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 4
     assert "FIRST FAILURE (unverifiable)" in out
+
+
+@pytest.mark.parametrize("code, loads_numpy", [
+    ("import sincint, sincint.cli", False),
+    ("assert cli.main(['eval', '-a', '3', '-b', '3', '-c', '0', '-p', '1', '-q', '0']) == 0", False),
+    ("assert cli.main(['batch', sys.argv[1]]) == 3", False),
+    ("assert cli.main(['verify', '-a', '2', '-b', '2', '-c', '0', '-p', '1', '-q', '0', '--tol', 'nan']) == 1", False),
+    # The quadrature's module must not take the place of the function sincint.quadrature.
+    ("import sincint, sincint.numeric\n"
+     "sincint.quadrature(sincint.IntegralParams(3, 3, 0, 1, 0))\n"
+     "assert sincint.quadrature is sincint.oracle.quadrature", True),
+], ids=["import", "eval", "batch", "usage-error", "quadrature"])
+def test_numpy_loads_with_the_first_quadrature_only(code, loads_numpy, tmp_path):
+    cases = tmp_path / "cases.txt"
+    cases.write_text("3 2 0 1 0\n4 3 1 2 1\n3 1 0 1 0\n")
+    script = f"import sys\nfrom sincint import cli\n{code}\nprint('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    result = subprocess.run([sys.executable, "-c", script, str(cases)], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 def test_console_script_available():

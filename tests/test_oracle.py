@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import sincint.numeric as numeric_module
 import sincint.oracle as oracle_module
 from reference_trig import product_expansion
 from scaling import rescaled
@@ -173,7 +174,7 @@ def test_any_real_tolerance_is_read_as_a_float(tol):
 
 
 def test_quadrature_fails_loudly_on_tiny_budget(monkeypatch):
-    monkeypatch.setattr(oracle_module, "_MAX_NODES", 40)
+    monkeypatch.setattr(numeric_module, "_MAX_NODES", 40)
     with pytest.raises(QuadratureError):
         quadrature(IntegralParams(6, 2, 4, 5, 5), 1e-6)
 
@@ -191,7 +192,7 @@ def test_gcd_reduction_verifies_high_frequency():
 def _counting_sampler(monkeypatch):
     """Record the node count of every evaluation pass over the head's periods."""
     calls = []
-    sample = oracle_module._sample_period
+    sample = numeric_module._sample_period
 
     def counting(*args):
         half, values = sample(*args)
@@ -203,7 +204,7 @@ def _counting_sampler(monkeypatch):
 
         return half, counted
 
-    monkeypatch.setattr(oracle_module, "_sample_period", counting)
+    monkeypatch.setattr(numeric_module, "_sample_period", counting)
     return calls
 
 
@@ -219,7 +220,7 @@ def test_node_budget_refuses_before_the_fft(monkeypatch):
     def no_profile(*args):
         raise AssertionError("the period profile ran")
 
-    monkeypatch.setattr(oracle_module, "_period_profile", no_profile)
+    monkeypatch.setattr(numeric_module, "_period_profile", no_profile)
     calls = _counting_sampler(monkeypatch)
     # Coprime frequencies: omega = 299971, one period is 18M evaluations.
     with pytest.raises(QuadratureError, match="budget"):
@@ -239,8 +240,8 @@ def test_node_budget_refuses_a_long_tail_before_head_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("the head was sampled")
 
-    monkeypatch.setattr(oracle_module, "_MAX_NODES", 240)
-    monkeypatch.setattr(oracle_module, "_sample_period", no_sampling)
+    monkeypatch.setattr(numeric_module, "_MAX_NODES", 240)
+    monkeypatch.setattr(numeric_module, "_sample_period", no_sampling)
     with pytest.raises(QuadratureError, match="the head needs 480 evaluations, budget is 240"):
         quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
 
@@ -248,7 +249,7 @@ def test_node_budget_refuses_a_long_tail_before_head_sampling(monkeypatch):
 def test_certified_error_over_tolerance_is_refused(monkeypatch):
     # A reduced bound that uses the whole reduced tolerance leaves no room for
     # the rescaling's rounding, so the final check must refuse.
-    monkeypatch.setattr(oracle_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (1.0, tol))
+    monkeypatch.setattr(numeric_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (1.0, tol))
     with pytest.raises(QuadratureError, match="certified error .* exceeds requested tolerance"):
         quadrature(IntegralParams(5, 3, 0, 2, 0), 1e-6)
 
@@ -257,7 +258,7 @@ def test_certified_bound_covers_the_three_final_roundings(monkeypatch):
     # Even an exact reduced integral leaves half an ulp each for the sum head +
     # tail, for g^(b-1) and for the product: an absolute 1e-12 in place of the
     # first would not cover it above about 9,000.
-    monkeypatch.setattr(oracle_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (16384.5, 0.0))
+    monkeypatch.setattr(numeric_module, "_reduced_quadrature", lambda a, b, c, p, q, tol: (16384.5, 0.0))
     est, bound = quadrature(IntegralParams(5, 3, 0, 3, 0), 1e-6)  # g^(b-1) = 9
     assert est == 147460.5 and bound == 1.5 * math.ulp(1.0) * est  # 1.5 eps |est| >= 1.5 ulp(est)
 
@@ -265,7 +266,7 @@ def test_certified_bound_covers_the_three_final_roundings(monkeypatch):
 def test_a_gauss_bound_past_double_range_is_refused(monkeypatch):
     # p'^b past double range makes the head's bound inf, not an OverflowError,
     # and the final check refuses it.
-    monkeypatch.setattr(oracle_module, "_GL15_PERIOD_ERROR", math.inf)
+    monkeypatch.setattr(numeric_module, "_GL15_PERIOD_ERROR", math.inf)
     with pytest.raises(QuadratureError, match="certified error inf exceeds requested tolerance"):
         quadrature(IntegralParams(2, 2, 0, 1, 0), 1e-6)
 
@@ -293,15 +294,15 @@ def test_node_budget_covers_the_head_extension(monkeypatch):
     calls = _counting_sampler(monkeypatch)
     quadrature(params, 1e-6)
     assert len(calls) == 2
-    monkeypatch.setattr(oracle_module, "_MAX_NODES", calls[0])
+    monkeypatch.setattr(numeric_module, "_MAX_NODES", calls[0])
     with pytest.raises(QuadratureError, match="budget"):
         quadrature(params, 1e-6)
 
 
 def _oracle_head_pass(a, b, c, p, q, k0, k1):
     """The oracle's head pass over periods k0 <= k < k1 on its own 4 omega panels."""
-    half, values = oracle_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
-    return oracle_module._head_pass(half, values, k0, k1, 1e-6, oracle_module._GL15_PERIOD_ERROR * p**b)
+    half, values = numeric_module._sample_period(a, b, c, p, q, 4 * (a * p + c * q))
+    return numeric_module._head_pass(half, values, k0, k1, 1e-6, numeric_module._GL15_PERIOD_ERROR * p**b)
 
 
 def _direct_head(a, b, c, p, q, k0, k1, dtype, panels_per_omega=4):
@@ -313,11 +314,11 @@ def _direct_head(a, b, c, p, q, k0, k1, dtype, panels_per_omega=4):
     """
     edges = np.linspace(0.0, 2.0 * math.pi, panels_per_omega * (a * p + c * q) + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * oracle_module._NODES
+    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * numeric_module._NODES
     two_pi = 8 * np.arctan(dtype(1))
     x = two_pi * np.arange(k0, k1, dtype=dtype)[:, None, None] + t.astype(dtype)
     f = (np.sin(p * x) / x) ** b * np.sin(p * x) ** (a - b) * np.cos(q * x) ** c
-    return (half.astype(dtype) * (f @ oracle_module._WEIGHTS.astype(dtype))).sum()
+    return (half.astype(dtype) * (f @ numeric_module._WEIGHTS.astype(dtype))).sum()
 
 
 def test_head_passes_match_the_raw_integrand_period_by_period():
@@ -353,10 +354,10 @@ def test_unfolded_period_matches_the_raw_integrand_node_by_node():
     )
     for a, b, c, p, q in cases:
         panels = 4 * (a * p + c * q)
-        half, values = oracle_module._sample_period(a, b, c, p, q, panels)
+        half, values = numeric_module._sample_period(a, b, c, p, q, panels)
         assert half == math.pi / panels
         edges = np.linspace(0.0, 2.0 * math.pi, panels + 1)
-        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * oracle_module._NODES
+        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * numeric_module._NODES
         for k0, k1 in [(0, 1), (3, 5)]:
             x = 2.0 * math.pi * np.arange(k0, k1)[:, None, None] + t
             direct = (np.sin(p * x) / x) ** b * np.sin(p * x) ** (a - b) * np.cos(q * x) ** c
@@ -375,7 +376,7 @@ def test_sampler_takes_sines_and_cosines_on_a_quarter_period(monkeypatch):
 
         monkeypatch.setattr(np, name, counting)
     panels = 4 * (10 * 5 + 4 * 3)
-    half, values = oracle_module._sample_period(10, 2, 4, 5, 3, panels)
+    half, values = numeric_module._sample_period(10, 2, 4, 5, 3, panels)
     values(0, 4)
     assert counts == {"sin": 15 * panels // 4, "cos": 15 * panels // 4}
 
@@ -417,13 +418,13 @@ def test_gauss_legendre_15_table_and_error_constant():
         positive = [mpmath.findroot(legendre, mpmath.cos(mpmath.pi * (i - 0.25) / 15.5)) for i in range(1, 8)]
         assert all(x > y > 0 for x, y in zip(positive, positive[1:]))  # 7 distinct: with 0 and -x, all 15
         roots = [-x for x in positive] + [mpmath.mpf(0)] + positive[::-1]
-        for node, weight, x in zip(oracle_module._NODES, oracle_module._WEIGHTS, roots):
+        for node, weight, x in zip(numeric_module._NODES, numeric_module._WEIGHTS, roots):
             slope = 15 * (x * legendre(x) - mpmath.legendre(14, x)) / (x * x - 1)
             assert abs(node - x) <= math.ulp(node) / 2, x
             assert abs(weight - 2 / ((1 - x * x) * slope**2)) <= math.ulp(weight) / 2, x
         c15 = (mpmath.pi / 2) ** 30 * mpmath.factorial(15) ** 4 / (31 * mpmath.factorial(30) ** 3)
-        assert abs(oracle_module._GL15_PERIOD_ERROR / (2 * mpmath.pi * c15) - 1) <= 1e-14
-    assert math.fsum(oracle_module._WEIGHTS) == 2.0
+        assert abs(numeric_module._GL15_PERIOD_ERROR / (2 * mpmath.pi * c15) - 1) <= 1e-14
+    assert math.fsum(numeric_module._WEIGHTS) == 2.0
 
 
 def _profile_from_expansion(a, c, p, q):
@@ -449,7 +450,7 @@ def test_period_profile_matches_product_expansion():
         for c in range(0, 5):
             for p in range(1, 5):
                 for q in range(0, 5):
-                    mus, max_last, _ = oracle_module._period_profile(a, c, p, q)
+                    mus, max_last, _ = numeric_module._period_profile(a, c, p, q)
                     exact_mus, cos, sin = _profile_from_expansion(a, c, p, q)
                     for got, want in zip(mus, exact_mus[:4]):
                         assert abs(got - float(want)) <= 1e-12, (a, c, p, q)
@@ -466,14 +467,14 @@ def test_period_profile_is_computed_once_per_reduced_key():
     # b, the common factor g and the signs leave the reduced (a, c, p', q') =
     # (6, 2, 1, 2) of every case here, so the profile is computed once.
     cases = [(6, b, 2, 2, 4) for b in range(2, 7)] + [(6, 3, 2, 1, 2), (6, 3, 2, -3, -6)]
-    oracle_module._period_profile.cache_clear()
+    numeric_module._period_profile.cache_clear()
     for case in cases:
         assert verify(IntegralParams(*case), 1e-6).passed, case
-    info = oracle_module._period_profile.cache_info()
+    info = numeric_module._period_profile.cache_info()
     assert (info.misses, info.hits) == (1, len(cases) - 1)
-    assert info.maxsize == oracle_module._PROFILE_CACHE_SIZE
-    mus, max_last, mu_err = oracle_module._period_profile(6, 2, 1, 2)
-    assert isinstance(mus, tuple) and len(mus) == oracle_module._LEVELS
+    assert info.maxsize == numeric_module._PROFILE_CACHE_SIZE
+    mus, max_last, mu_err = numeric_module._period_profile(6, 2, 1, 2)
+    assert isinstance(mus, tuple) and len(mus) == numeric_module._LEVELS
 
 
 def test_memoized_profile_leaves_reports_bit_identical():
@@ -488,20 +489,20 @@ def test_memoized_profile_leaves_reports_bit_identical():
         cases.append((a, rng.randint(2, a), rng.randint(0, 3), sp * g * rng.randint(1, 3), sq * g * rng.randint(0, 3)))
     cold = []
     for case in cases:
-        oracle_module._period_profile.cache_clear()
+        numeric_module._period_profile.cache_clear()
         cold.append(repr(verify(IntegralParams(*case), 1e-6)))
-    oracle_module._period_profile.cache_clear()
+    numeric_module._period_profile.cache_clear()
     shared = [repr(verify(IntegralParams(*case), 1e-6)) for case in cases]
-    misses = oracle_module._period_profile.cache_info().misses
+    misses = numeric_module._period_profile.cache_info().misses
     warm = [repr(verify(IntegralParams(*case), 1e-6)) for case in cases]
     assert shared == warm == cold
-    assert misses < len(cases) and oracle_module._period_profile.cache_info().misses == misses
+    assert misses < len(cases) and numeric_module._period_profile.cache_info().misses == misses
 
 
 def _tail_reference(b, mus, max_last, mu_err, periods):
     """The tail's value, bound and sum of |value terms| at 50 digits from the same float inputs."""
     with mpmath.workdps(50):
-        x = mpmath.mpf(oracle_module._PERIOD) * periods
+        x = mpmath.mpf(numeric_module._PERIOD) * periods
         weights = [1 / mpmath.mpf(b - 1) if b >= 2 else 0] + [mpmath.rf(b, i - 1) for i in range(1, 5)]
         terms = [w * mu * x ** -(b - 1 + i) for i, (w, mu) in enumerate(zip(weights, mus))]
         bound = sum(w * mu_err * x ** -(b - 1 + i) for i, w in enumerate(weights[:4]))
@@ -511,24 +512,24 @@ def _tail_reference(b, mus, max_last, mu_err, periods):
 
 def test_tail_matches_the_series_at_50_digits():
     # Odd a, so b = 1 is in the family; the profile's mu_1 is then rounding only.
-    mus, max_last, mu_err = oracle_module._period_profile(7, 1, 2, 1)
+    mus, max_last, mu_err = numeric_module._period_profile(7, 1, 2, 1)
     for b, periods in itertools.product((1, 2, 3, 7), (1, 4, 64)):
-        value, bound = oracle_module._tail(b, mus, max_last, mu_err, periods)
+        value, bound = numeric_module._tail(b, mus, max_last, mu_err, periods)
         ref_value, ref_bound, magnitude = _tail_reference(b, mus, max_last, mu_err, periods)
-        assert abs(value - ref_value) <= 4 * oracle_module._EPS * magnitude, (b, periods)
-        assert abs(bound - ref_bound) <= 4 * oracle_module._EPS * ref_bound, (b, periods)
+        assert abs(value - ref_value) <= 4 * numeric_module._EPS * magnitude, (b, periods)
+        assert abs(bound - ref_bound) <= 4 * numeric_module._EPS * ref_bound, (b, periods)
 
 
 def test_tail_bound_falls_with_the_periods_and_b_one_has_no_mean_term():
-    mus, max_last, mu_err = oracle_module._period_profile(5, 2, 1, 3)
+    mus, max_last, mu_err = numeric_module._period_profile(5, 2, 1, 3)
     for b in (1, 2, 3, 7):
-        bounds = [oracle_module._tail(b, mus, max_last, mu_err, 2**j)[1] for j in range(17)]
+        bounds = [numeric_module._tail(b, mus, max_last, mu_err, 2**j)[1] for j in range(17)]
         assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:])), b
     shifted = (1e300,) + mus[1:]
     for periods in (1, 4, 64):
-        tail = oracle_module._tail(1, mus, max_last, mu_err, periods)
-        assert oracle_module._tail(1, shifted, max_last, mu_err, periods) == tail
-        assert oracle_module._tail(2, shifted, max_last, mu_err, periods)[0] != tail[0]
+        tail = numeric_module._tail(1, mus, max_last, mu_err, periods)
+        assert numeric_module._tail(1, shifted, max_last, mu_err, periods) == tail
+        assert numeric_module._tail(2, shifted, max_last, mu_err, periods)[0] != tail[0]
 
 
 def test_error_bound_covers_true_error_on_sample():
