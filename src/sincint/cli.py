@@ -7,7 +7,7 @@ carries a reason; this says nothing against the closed form), 141 (128 +
 SIGPIPE, as a shell reports for cat) when the reader of stdout closed it early.
 batch reads its input a line at a time; a read or decode error part-way
 through keeps the records already printed, adds one "cannot read" line on
-stderr and exits 1.
+stderr, which names the file's line for a decode error, and exits 1.
 verify's --tol sets its tolerance (default DEFAULT_TOL); a value that is not
 an ASCII decimal literal of a finite number no smaller than MIN_TOL exits 1.
 b = 1 needs --allow-b1, which only eval and verify take.  eval prints
@@ -104,7 +104,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    read_errors: list[Exception] = []
+    read_errors: list[str] = []
     any_failed = False
     for line in _read_lines(args.input, read_errors):
         stripped = line.strip()
@@ -120,18 +120,42 @@ def cmd_batch(args) -> int:
     return EXIT_BATCH if any_failed else EXIT_OK
 
 
-def _read_lines(path: str, errors: list[Exception]) -> Iterator[str]:
+def _read_lines(path: str, errors: list[str]) -> Iterator[str]:
     """The lines of path as they are consumed, so memory does not grow with the file.
 
-    An error opening, reading or decoding it ends the lines and is appended to
-    errors.  Errors writing the output are raised where they happen, in the
-    caller, and are never taken for it.
+    An error opening, reading or decoding it ends the lines and its message
+    is appended to errors; a decoding error names the file's line.  Errors
+    writing the output are raised where they happen, in the caller, and are
+    never taken for it.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             yield from fh
-    except (OSError, UnicodeDecodeError) as exc:
-        errors.append(exc)
+    except OSError as exc:
+        errors.append(str(exc))
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the chunk being decoded, not from the file.
+        errors.append(_undecodable_line(path, exc))
+
+
+def _undecodable_line(path: str, exc: UnicodeDecodeError) -> str:
+    """A message naming the first undecodable byte and its 1-based line in the file.
+
+    UTF-8 never uses a newline byte inside a character, so decoding the file
+    again one line at a time finds that line.  If it cannot be read again,
+    exc's own message, with its chunk-relative position, is returned.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    bad = line_exc.object[line_exc.start]
+                    return f"'utf-8' codec can't decode byte 0x{bad:02x} on line {number}: {line_exc.reason}"
+    except OSError:
+        pass
+    return str(exc)
 
 
 def _batch_line(text: str) -> dict:

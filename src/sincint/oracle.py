@@ -1,8 +1,12 @@
 """Independent floating-point verification of the exact evaluator.
 
-Two pieces: rendering an ExactValue to a double via high-precision constants,
-and estimating the integral directly from the raw integrand.  The quadrature
-never touches the closed forms or the trigonometric expansions.  With
+Two pieces: rendering an ExactValue to a double, and estimating the
+integral directly from the raw integrand.  Rendering works on Python
+integers: pi and ln(prime) are correctly rounded 169-bit (50-digit) binary
+floats, and every product and sum of the terms is rounded to nearest at 169
+bits, as mpmath's mpf arithmetic rounds them, with no error control over
+their cancellation (ROADMAP item 2).  The quadrature never touches the
+closed forms or the trigonometric expansions.  With
 g = gcd(p, q) (g = p when c = 0), u = g*x gives I(a, b, c, g*p', g*q') =
 g^(b-1) * I(a, b, c, p', q'); sincint.numeric integrates the reduced
 integral with a certified error bound, and quadrature rescales it and adds
@@ -22,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from mpmath import libmp
-
 from .evaluator import evaluate
 from .exact import ExactValue
 from .params import IntegralParams, validate_for_evaluation
@@ -40,16 +42,19 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 MIN_TOL = 1e-8
-WORKING_DIGITS = 50
 
 _EPS = sys.float_info.epsilon
 # Strict RFC 8259 output for _json_line: NaN and infinities raise.
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
-_PREC = libmp.dps_to_prec(WORKING_DIGITS)
-_RND = libmp.round_nearest
-_PI = libmp.mpf_pi(_PREC, _RND)
-# Distinct primes kept by the logarithm memo, every prime below 8,161.  An entry is
-# the key int, a 169-bit mpf tuple and the cache's link: about 320 bytes, 0.33 MB full.
+# The working precision of rendering: 169 bits, the binary precision of 50 digits.
+_PREC = 169
+# pi rounded to nearest at _PREC bits, as man * 2**exp.
+_PI = (0x1921FB54442D18469898CC51701B839A252049C1115, -167)
+# Guard bits of _ln's first try; each retry doubles them.
+_GUARD = 32
+# Distinct primes kept by the logarithm memo, every prime up to 8,161.  An entry is
+# the cache's link and a (man, exp) pair of a 169-bit int and an int: about 220
+# bytes by tracemalloc, 0.23 MB full.
 _LN_CACHE_SIZE = 1024
 
 
@@ -58,38 +63,136 @@ class QuadratureError(RuntimeError):
 
 
 def to_decimal(value: ExactValue) -> float:
-    """Render an ExactValue to a double using WORKING_DIGITS-precision constants.
+    """Render an ExactValue to a double through 169-bit (50-digit) binary floats.
 
-    Each term coeff * pi or coeff * ln(rho) is rounded to the working
-    precision (50 digits) and the terms are summed there, with no error
-    control: a value whose terms cancel beyond 50 digits, as large-a log
-    values do, is rendered wrong (ROADMAP item 2).  The roundings are those
-    of mpmath's mpf arithmetic under workdps(WORKING_DIGITS).
+    Each term coeff * pi or coeff * ln(rho) is computed and summed at _PREC
+    bits on Python integers, with no error control: a value whose terms
+    cancel beyond 50 digits, as large-a log values do, is rendered wrong
+    (ROADMAP item 2).  Every step rounds to nearest, ties to even: the
+    numerator, its quotient by the denominator, the product with the
+    correctly rounded constant and the running sum; the total is then
+    rounded to 53 bits and scaled by math.ldexp, which rounds a subnormal
+    once more and overflows to an infinity.  These are the roundings of
+    mpmath's mpf arithmetic at 50 digits, bit for bit.
     """
-    total = libmp.fzero
+    total = 0, 0
     if value.pi_coeff:
-        total = _add_term(total, value.pi_coeff, _PI)
+        total = _add(total, _term(value.pi_coeff, _PI))
     for prime, coeff in value.log_coeffs.items():
-        total = _add_term(total, coeff, _ln(prime))
-    return libmp.to_float(total, rnd=_RND)
+        total = _add(total, _term(coeff, _ln(prime)))
+    man, exp = _round(*total, prec=53)
+    try:
+        return math.ldexp(man, exp)
+    except OverflowError:
+        return math.copysign(math.inf, man)
+
+
+def _round(man: int, exp: int, sticky: bool = False, prec: int = _PREC) -> tuple[int, int]:
+    """man * 2**exp rounded to nearest at prec bits, ties to even, as (man, exp).
+
+    sticky marks a nonzero tail below man's last bit, so that a seeming tie
+    rounds away from zero.
+    """
+    mag = -man if man < 0 else man
+    cut = mag.bit_length() - prec
+    if cut <= 0:
+        return man, exp
+    low = mag & ((1 << cut) - 1)
+    mag >>= cut
+    half = 1 << (cut - 1)
+    if low > half or (low == half and (sticky or mag & 1)):
+        mag += 1
+    return (-mag if man < 0 else mag), exp + cut
+
+
+def _term(coeff: Fraction, constant: tuple[int, int]) -> tuple[int, int]:
+    """coeff * constant: the numerator, the quotient and the product each rounded."""
+    man, exp = _round(coeff.numerator, 0)
+    den = coeff.denominator
+    # The denominator's trailing zero bits go to the exponent exactly; the
+    # quotient by its odd part keeps two bits past _PREC and a sticky remainder.
+    tz = (den & -den).bit_length() - 1
+    den >>= tz
+    exp -= tz
+    if den != 1:
+        mag = -man if man < 0 else man
+        shift = _PREC + 2 + den.bit_length() - mag.bit_length()
+        quot, rem = divmod(mag << shift, den)
+        man, exp = _round(-quot if man < 0 else quot, exp - shift, rem != 0)
+    return _round(man * constant[0], exp + constant[1])
+
+
+def _add(total: tuple[int, int], term: tuple[int, int]) -> tuple[int, int]:
+    """total + term rounded to _PREC bits."""
+    sman, sexp = total
+    if not sman:
+        return term
+    tman, texp = term
+    if sexp < texp:
+        sman, sexp, tman, texp = tman, texp, sman, sexp
+    offset = sexp - texp
+    # The shortcut of mpmath's mpf_add: a term whose top bit lies more than
+    # _PREC + 4 bits below the other's cannot move its rounding.
+    if offset > 100 and sman.bit_length() + sexp - tman.bit_length() - texp > _PREC + 4:
+        return sman, sexp
+    return _round((sman << offset) + tman, texp)
+
+
+def _atanh_fixed(num: int, den: int, wp: int) -> tuple[int, int]:
+    """atanh(num/den) * 2**wp for 0 <= num/den <= 1/3, rounded down, and an error bound.
+
+    The series x + x^3/3 + x^5/5 + ... runs in wp-bit fixed point until a
+    term vanishes, as two sums of every other term, so that one product by
+    x^4 makes two terms; the second sum is scaled by x^2 at the end.  Every
+    truncation is downward, each computed power of x is less than 2 ulps
+    low and each term adds less than 1.5 ulps, so the result is low by less
+    than the bound returned, the next odd divisor plus one.
+    """
+    v = (num << wp) // den
+    v2 = (v * v) >> wp
+    v4 = (v2 * v2) >> wp
+    even, odd = v, v // 3  # x^(4j+1)/(4j+1) and x^(4j+1)/(4j+3)
+    k = 5
+    v = (v * v4) >> wp
+    while v:
+        even += v // k
+        odd += v // (k + 2)
+        v = (v * v4) >> wp
+        k += 4
+    return even + ((odd * v2) >> wp), k + 1
+
+
+@lru_cache(maxsize=None)  # one entry per precision _ln tries: _PREC + _GUARD, then a doubling at a time
+def _ln2_fixed(wp: int) -> int:
+    """ln 2 * 2**wp = 2 atanh(1/3) * 2**wp, within 2 ulps: 16 extra bits absorb the series' error."""
+    return 2 * _atanh_fixed(1, 3, wp + 16)[0] >> 16
+
+
+_ln2_fixed(_PREC + _GUARD)  # ln 2 at the first try's precision, once, at import
 
 
 @lru_cache(maxsize=_LN_CACHE_SIZE)
-def _ln(prime: int) -> tuple:
-    """ln(prime) at the working precision, memoized for the last _LN_CACHE_SIZE primes."""
-    return libmp.mpf_log(libmp.from_int(prime), _PREC, _RND)
+def _ln(n: int) -> tuple[int, int]:
+    """ln(n), n >= 2, correctly rounded to _PREC bits; memoized for the last _LN_CACHE_SIZE n.
 
-
-def _add_term(total: tuple, coeff: Fraction, constant: tuple) -> tuple:
-    # The numerator is rounded as it is converted, and the denominator is
-    # exact: its trailing zero bits go to the exponent, so it is stored
-    # normalized without a scan for them.
-    den = coeff.denominator
-    tz = (den & -den).bit_length() - 1
-    term = libmp.from_int(coeff.numerator, _PREC, _RND)
-    term = libmp.mpf_div(term, libmp.from_man_exp(den >> tz, tz), _PREC, _RND)
-    term = libmp.mpf_mul(term, constant, _PREC, _RND)
-    return libmp.mpf_add(total, term, _PREC, _RND)
+    n = 2^k * r with r in [3/4, 3/2) gives ln n = k ln 2 + 2 atanh((n - 2^k)/(n + 2^k)),
+    |atanh's argument| <= 1/5.  The sum is made in fixed point with guard bits;
+    when the two ends of its error interval round apart, the guard bits double.
+    """
+    k = n.bit_length()
+    if n >> (k - 2) < 3:  # n < 3 * 2^(k-2), so r = n / 2^(k-1) < 3/2
+        k -= 1
+    num, den = n - (1 << k), n + (1 << k)
+    guard = _GUARD
+    while True:
+        wp = _PREC + guard
+        atanh, err = _atanh_fixed(abs(num), den, wp)
+        fixed = k * _ln2_fixed(wp) + (2 * atanh if num >= 0 else -2 * atanh)
+        err = 2 * err + 2 * k  # ln 2 is within 2 ulps, k times over
+        low = _round(fixed - err, -wp)
+        if low == _round(fixed + err, -wp):
+            return low
+        guard *= 2
 
 
 def _check_tol(tol: float) -> float:

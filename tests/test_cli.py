@@ -21,6 +21,9 @@ from sincint import IntegralParams, SweepRecord, SweepReport, evaluate, parse_ex
 from sincint.oracle import VerifyReport
 from sincint.exact import ExactValue
 
+# The directory holding the package, for the PYTHONPATH of subprocess tests.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
 
 def run_cli(argv, capsys):
     try:
@@ -521,6 +524,19 @@ def test_batch_keeps_the_records_before_a_late_decode_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith(f"cannot read {path}: ")
 
 
+def test_batch_decode_error_names_the_line_of_the_file(tmp_path, capsys):
+    # 4,000 lines of 10 bytes; the invalid byte at offset 20,000 starts line 2,001,
+    # 3,616 bytes into the third 8 KiB chunk the decoder reads.
+    data = bytearray(b"2 2 0 1 0\n" * 4000)
+    data[20000] = 0xFF
+    path = tmp_path / "late.txt"
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(["batch", str(path)], capsys)
+    assert code == 1
+    assert 0 < len(out.splitlines()) <= 2000
+    assert err == f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on line 2001: invalid start byte\n"
+
+
 def test_batch_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
     # 20,000 records are about 2 MB, far past the pipe's and stdout's buffers.
     path = tmp_path / "cases.txt"
@@ -690,14 +706,34 @@ def test_selftest_names_an_unverifiable_first_failure(capsys, monkeypatch):
      "assert sincint.quadrature is sincint.oracle.quadrature", True),
 ], ids=["import", "eval", "batch", "usage-error", "quadrature"])
 def test_numpy_loads_with_the_first_quadrature_only(code, loads_numpy, tmp_path):
+    # mpmath, a test dependency, is never loaded by the package.
     cases = tmp_path / "cases.txt"
     cases.write_text("3 2 0 1 0\n4 3 1 2 1\n3 1 0 1 0\n")
-    script = f"import sys\nfrom sincint import cli\n{code}\nprint('numpy' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = f"import sys\nfrom sincint import cli\n{code}\nprint('numpy' in sys.modules, 'mpmath' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", script, str(cases)], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src})
+                            env={**os.environ, "PYTHONPATH": SRC})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == str(loads_numpy)
+    assert result.stdout.splitlines()[-1] == f"{loads_numpy} False"
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["eval", "-a", "6", "-b", "3", "-c", "1", "-p", "1", "-q", "2"], 0),
+    (["batch", "CASES"], 3),  # the b = 1 line is a domain error
+    (["verify", "-a", "4", "-b", "4", "-c", "0", "-p", "1", "-q", "0"], 0),
+], ids=["eval", "batch", "verify"])
+def test_commands_run_the_same_where_mpmath_cannot_be_imported(argv, expected_code, tmp_path):
+    cases = tmp_path / "cases.txt"
+    cases.write_text("3 2 0 1 0\n4 3 1 2 1\n6 3 1 1 2\n5 5 0 1 0\n3 1 0 1 0\n")
+    argv = [str(cases) if arg == "CASES" else arg for arg in argv]
+    runs = []
+    for block in ("", "sys.modules['mpmath'] = None\n"):  # None makes import mpmath raise ImportError
+        script = f"import sys\n{block}from sincint import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": SRC})
+        assert result.stderr == ""
+        runs.append((result.returncode, result.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == expected_code and runs[0][1]
 
 
 def test_console_script_available():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from mpmath import libmp
 
 import sincint.numeric as numeric_module
 import sincint.oracle as oracle_module
@@ -26,6 +28,7 @@ from sincint import (
     to_decimal,
     verify,
 )
+from sincint.exact import _is_prime
 
 PI_HALF = 1.5707963267948966
 PI_THIRD = 1.0471975511965976
@@ -111,6 +114,57 @@ def test_to_decimal_is_unchanged_after_the_log_memo_evicts_its_primes():
     misses = oracle_module._ln.cache_info().misses
     assert to_decimal(value) == first
     assert oracle_module._ln.cache_info().misses == misses + 2  # both primes were evicted
+
+
+def test_pi_is_mpmath_pi_at_the_working_precision():
+    assert oracle_module._PREC == libmp.dps_to_prec(50)
+    assert libmp.from_man_exp(*oracle_module._PI) == libmp.mpf_pi(oracle_module._PREC, libmp.round_nearest)
+
+
+def test_ln_is_mpmath_log_at_the_working_precision():
+    # 2^k and 3 * 2^(k-1) are where the reduction n = 2^k * r, r in [3/4, 3/2), changes k.
+    rng = random.Random(28)
+    edges = [n + d for k in range(1, 81) for n in (2**k, 3 * 2 ** (k - 1)) for d in (-1, 0, 1)]
+    seeded = [rng.randrange(2, 10 ** rng.randint(2, 24)) for _ in range(500)]
+    for n in [*filter(_is_prime, range(10**4)), *(n for n in edges if n >= 2), *seeded]:
+        expected = libmp.mpf_log(libmp.from_int(n), oracle_module._PREC, libmp.round_nearest)
+        assert libmp.from_man_exp(*oracle_module._ln(n)) == expected, n
+
+
+def test_to_decimal_matches_the_mpf_route_where_far_apart_terms_take_the_shortcut():
+    # pi * 10^60 and ln 2 / 10^60 are about 400 bits apart; a term more than 173 bits
+    # (the precision and 4) below the other cannot change its rounding.  The
+    # ln 2 / 2^j terms cross that threshold at j = 172.
+    values = [
+        *(ExactValue(Fraction(s * 10**60), {2: Fraction(1, 10**60)}) for s in (1, -1)),
+        *(ExactValue(Fraction(1, 10**60), {2: Fraction(s * 10**60)}) for s in (1, -1)),
+        *(ExactValue(Fraction(1), {2: Fraction(s, 2**j)}) for j in range(150, 200) for s in (1, -1)),
+        *(ExactValue(Fraction(s, 2**j), {2: Fraction(1)}) for j in range(150, 200) for s in (1, -1)),
+    ]
+    assert [v for v in values if repr(to_decimal(v)) != repr(_mpf_route(v))] == []
+
+
+def _value_summing_to_a_double_tie():
+    """ln 3 + c * ln(q) whose 169-bit sum lies exactly half-way between two doubles."""
+    with mpmath.workdps(50):
+        big = mpmath.log(3)
+        cut = int(big.bc) - 53  # the top 53 bits of ln 3 and a last, 54th bit set
+        tie = mpmath.mpf(((int(big.man) >> cut << 1) | 1, int(big.exp) + cut - 1))
+        for q in (2, 5, 7, 11, 13):
+            frac, exp = mpmath.frexp((tie - big) / mpmath.log(q))  # 1/2 <= |frac| < 1
+            for d in range(-2, 3):  # steps of one 169-bit ulp
+                coeff = Fraction(int(mpmath.ldexp(frac, 169)) + d, 2 ** (169 - int(exp)))
+                if big + mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.log(q) == tie:
+                    return ExactValue(log_coeffs={3: Fraction(1), q: coeff})
+    raise AssertionError("no coefficient found")
+
+
+def test_to_decimal_matches_the_mpf_route_on_a_tie_and_on_subnormals():
+    tie = _value_summing_to_a_double_tie()
+    subnormals = [ExactValue(pi_coeff=Fraction(n, 2**e)) for n in (1, -3, 7) for e in (1022, 1050, 1070, 1074, 1076)]
+    for value in [tie, *subnormals]:
+        assert repr(to_decimal(value)) == repr(_mpf_route(value)), value
+    assert 0 < abs(to_decimal(ExactValue(pi_coeff=Fraction(1, 2**1070)))) < sys.float_info.min
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
