@@ -7,7 +7,8 @@ carries a reason; this says nothing against the closed form), 141 (128 +
 SIGPIPE, as a shell reports for cat) when the reader of stdout closed it early.
 batch reads its input a line at a time; a read or decode error part-way
 through keeps the records already printed, adds one "cannot read" line on
-stderr, which names the file's line for a decode error, and exits 1.
+stderr and exits 1.  A decode error is met at the line of the undecodable
+byte, after the records of every line before it, and the message names that line.
 verify's --tol sets its tolerance (default DEFAULT_TOL); a value that is not
 an ASCII decimal literal of a finite number no smaller than MIN_TOL exits 1.
 b = 1 needs --allow-b1, which only eval and verify take.  eval prints
@@ -129,33 +130,20 @@ def _read_lines(path: str, errors: list[str]) -> Iterator[str]:
     never taken for it.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            yield from fh
+        # surrogateescape defers a decoding error to its own line: an undecodable
+        # byte becomes a lone surrogate, which valid UTF-8 never gives.
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        bad = exc.object[exc.start]
+                        errors.append(f"'utf-8' codec can't decode byte 0x{bad:02x} on line {number}: {exc.reason}")
+                        return
+                yield line
     except OSError as exc:
         errors.append(str(exc))
-    except UnicodeDecodeError as exc:
-        # exc.start counts from the chunk being decoded, not from the file.
-        errors.append(_undecodable_line(path, exc))
-
-
-def _undecodable_line(path: str, exc: UnicodeDecodeError) -> str:
-    """A message naming the first undecodable byte and its 1-based line in the file.
-
-    UTF-8 never uses a newline byte inside a character, so decoding the file
-    again one line at a time finds that line.  If it cannot be read again,
-    exc's own message, with its chunk-relative position, is returned.
-    """
-    try:
-        with open(path, "rb") as fh:
-            for number, line in enumerate(fh, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as line_exc:
-                    bad = line_exc.object[line_exc.start]
-                    return f"'utf-8' codec can't decode byte 0x{bad:02x} on line {number}: {line_exc.reason}"
-    except OSError:
-        pass
-    return str(exc)
 
 
 def _batch_line(text: str) -> dict:

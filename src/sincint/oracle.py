@@ -130,36 +130,27 @@ def _add(total: tuple[int, int], term: tuple[int, int]) -> tuple[int, int]:
     tman, texp = term
     if sexp < texp:
         sman, sexp, tman, texp = tman, texp, sman, sexp
-    offset = sexp - texp
-    # The shortcut of mpmath's mpf_add: a term whose top bit lies more than
-    # _PREC + 4 bits below the other's cannot move its rounding.
-    if offset > 100 and sman.bit_length() + sexp - tman.bit_length() - texp > _PREC + 4:
-        return sman, sexp
-    return _round((sman << offset) + tman, texp)
+    return _round((sman << (sexp - texp)) + tman, texp)
 
 
 def _atanh_fixed(num: int, den: int, wp: int) -> tuple[int, int]:
     """atanh(num/den) * 2**wp for 0 <= num/den <= 1/3, rounded down, and an error bound.
 
     The series x + x^3/3 + x^5/5 + ... runs in wp-bit fixed point until a
-    term vanishes, as two sums of every other term, so that one product by
-    x^4 makes two terms; the second sum is scaled by x^2 at the end.  Every
+    term vanishes, each power of x the last times num^2 / den^2.  Every
     truncation is downward, each computed power of x is less than 2 ulps
-    low and each term adds less than 1.5 ulps, so the result is low by less
+    low and each term adds less than 2 ulps, so the result is low by less
     than the bound returned, the next odd divisor plus one.
     """
     v = (num << wp) // den
-    v2 = (v * v) >> wp
-    v4 = (v2 * v2) >> wp
-    even, odd = v, v // 3  # x^(4j+1)/(4j+1) and x^(4j+1)/(4j+3)
-    k = 5
-    v = (v * v4) >> wp
+    num2, den2 = num * num, den * den
+    total, k = v, 3
+    v = v * num2 // den2
     while v:
-        even += v // k
-        odd += v // (k + 2)
-        v = (v * v4) >> wp
-        k += 4
-    return even + ((odd * v2) >> wp), k + 1
+        total += v // k
+        v = v * num2 // den2
+        k += 2
+    return total, k + 1
 
 
 @lru_cache(maxsize=None)  # one entry per precision _ln tries: _PREC + _GUARD, then a doubling at a time

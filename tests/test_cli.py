@@ -511,30 +511,46 @@ def test_batch_unreadable_file(tmp_path, capsys):
 
 
 def test_batch_keeps_the_records_before_a_late_decode_error(tmp_path, capsys):
-    # Text-mode decoding reads 8 KiB at a time, so the invalid byte after
-    # 20 KB of valid lines is met only once records have been printed.
-    path = tmp_path / "late.txt"
-    path.write_bytes(b"2 2 0 1 0\n" * 2000 + b"\xff\n" + b"3 2 0 1 0\n" * 10)
-    code, out, err = run_cli(["batch", str(path)], capsys)
-    assert code == 1
-    records = out.splitlines()
-    assert 0 < len(records) <= 2000
-    assert all(strict_json(line) == {"a": 2, "b": 2, "c": 0, "p": 1, "q": 0, "exact": "1/2*pi",
-                                     "decimal": 1.5707963267948966, "status": "ok"} for line in records)
-    assert err.count("\n") == 1 and err.startswith(f"cannot read {path}: ")
-
-
-def test_batch_decode_error_names_the_line_of_the_file(tmp_path, capsys):
     # 4,000 lines of 10 bytes; the invalid byte at offset 20,000 starts line 2,001,
-    # 3,616 bytes into the third 8 KiB chunk the decoder reads.
+    # 3,616 bytes into the third 8 KiB chunk that text-mode decoding reads.
     data = bytearray(b"2 2 0 1 0\n" * 4000)
     data[20000] = 0xFF
     path = tmp_path / "late.txt"
     path.write_bytes(bytes(data))
     code, out, err = run_cli(["batch", str(path)], capsys)
     assert code == 1
-    assert 0 < len(out.splitlines()) <= 2000
+    records = out.splitlines()
+    assert len(records) == 2000
+    assert all(strict_json(line) == {"a": 2, "b": 2, "c": 0, "p": 1, "q": 0, "exact": "1/2*pi",
+                                     "decimal": 1.5707963267948966, "status": "ok"} for line in records)
     assert err == f"cannot read {path}: 'utf-8' codec can't decode byte 0xff on line 2001: invalid start byte\n"
+
+
+def test_batch_decode_error_counts_lines_as_text_mode_does(tmp_path, capsys):
+    # Lines end at CR, LF or CRLF, also where a CR ends one 8 KiB chunk and LF starts the next.
+    path = tmp_path / "newlines.txt"
+    path.write_bytes(b"2 2 0 1 0\r" * 2 + b"2 2 0 1 0\r\n" * 2 + b" " * (8192 - 43) + b"\r\n\xe2\x82\n")
+    code, out, err = run_cli(["batch", str(path)], capsys)
+    assert (code, len(out.splitlines())) == (1, 4)
+    assert err == f"cannot read {path}: 'utf-8' codec can't decode byte 0xe2 on line 6: invalid continuation byte\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_batch_stops_at_a_decode_error_in_a_pipe_still_open():
+    # The writer keeps the pipe open, so reading on past the bad line would never end.
+    proc = subprocess.Popen([sys.executable, "-m", "sincint.cli", "batch", "/dev/stdin"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    try:
+        proc.stdin.write(b"2 2 0 1 0\n" * 3 + b"\xff\n" + b"3 2 0 1 0\n")
+        proc.stdin.flush()
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        out, err = proc.communicate()
+    assert code == 1
+    assert len(out.splitlines()) == 3
+    assert err == b"cannot read /dev/stdin: 'utf-8' codec can't decode byte 0xff on line 4: invalid start byte\n"
 
 
 def test_batch_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
