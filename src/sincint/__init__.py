@@ -11,7 +11,7 @@ independent fixed-pass quadrature of the raw integrand.
 """
 
 from .evaluator import evaluate
-from .exact import ExactValue, parse_exact_value
+from .exact import ExactValue, parse_exact_value, to_decimal
 from .identities import SweepRecord, SweepReport, boundary_identity_sum, identity_sweep
 from .oracle import (
     DEFAULT_TOL,
@@ -19,7 +19,6 @@ from .oracle import (
     QuadratureError,
     VerifyReport,
     quadrature,
-    to_decimal,
     verify,
 )
 from .params import DomainError, IntegralParams

@@ -25,9 +25,9 @@ import sys
 from typing import Iterator
 
 from .evaluator import evaluate
-from .exact import _MAX_DIGITS
+from .exact import _MAX_DIGITS, to_decimal
 from .identities import identity_sweep
-from .oracle import DEFAULT_TOL, MIN_TOL, _check_tol, _json_line, to_decimal, verify
+from .oracle import DEFAULT_TOL, MIN_TOL, _check_tol, _json_line, verify
 from .params import FIELDS, DomainError, IntegralParams
 
 EXIT_OK = 0

@@ -10,6 +10,10 @@ canonical form is unique: two values are equal exactly when their fields are.
 Logs are stored over the prime basis rather than over raw arguments so that
 algebraically equal results (e.g. 6*ln(6) - 6*ln(2) and 6*ln(3)) compare
 equal.
+
+to_decimal renders a value to a double at 169 bits (50 digits) on Python
+integers, rounding as mpmath's mpf arithmetic does, with no error control
+over the cancellation of its terms (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "ExactValue",
     "parse_exact_value",
     "prime_factorization",
+    "to_decimal",
 ]
 
 
@@ -224,3 +229,135 @@ def parse_exact_value(text: str) -> ExactValue:
             rho = int(prime)
             logs[rho] = logs.get(rho, Fraction(0)) + coeff
     return ExactValue(pi_coeff, logs)
+
+
+# The working precision of rendering: 169 bits, the binary precision of 50 digits.
+_PREC = 169
+# pi rounded to nearest at _PREC bits, as man * 2**exp.
+_PI = (0x1921FB54442D18469898CC51701B839A252049C1115, -167)
+# Guard bits of _ln's first try; each retry doubles them.
+_GUARD = 32
+# Distinct primes kept by the logarithm memo, every prime up to 8,161.  An entry is
+# the cache's link and a (man, exp) pair of a 169-bit int and an int: about 220
+# bytes by tracemalloc, 0.23 MB full.
+_LN_CACHE_SIZE = 1024
+
+
+def to_decimal(value: ExactValue) -> float:
+    """Render an ExactValue to a double through 169-bit (50-digit) binary floats.
+
+    Each term coeff * pi or coeff * ln(rho) is computed and summed at _PREC
+    bits on Python integers, with no error control: a value whose terms
+    cancel beyond 50 digits, as large-a log values do, is rendered wrong
+    (ROADMAP item 2).  Every step rounds to nearest, ties to even: the
+    numerator, its quotient by the denominator, the product with the
+    correctly rounded constant and the running sum.  math.ldexp converts
+    the total's integer to a double, a round to 53 bits, then scales it,
+    which rounds a subnormal once more and overflows to an infinity.  These
+    are the roundings of mpmath's mpf arithmetic at 50 digits, bit for bit.
+    """
+    total = 0, 0
+    if value.pi_coeff:
+        total = _add(total, _term(value.pi_coeff, _PI))
+    for prime, coeff in value.log_coeffs.items():
+        total = _add(total, _term(coeff, _ln(prime)))
+    try:
+        return math.ldexp(*total)
+    except OverflowError:
+        return math.copysign(math.inf, total[0])
+
+
+def _round(man: int, exp: int, sticky: bool = False) -> tuple[int, int]:
+    """man * 2**exp rounded to nearest at _PREC bits, ties to even, as (man, exp).
+
+    sticky marks a nonzero tail below man's last bit, so that a seeming tie
+    rounds away from zero.
+    """
+    mag = -man if man < 0 else man
+    cut = mag.bit_length() - _PREC
+    if cut <= 0:
+        return man, exp
+    low = mag & ((1 << cut) - 1)
+    mag >>= cut
+    half = 1 << (cut - 1)
+    if low > half or (low == half and (sticky or mag & 1)):
+        mag += 1
+    return (-mag if man < 0 else mag), exp + cut
+
+
+def _term(coeff: Fraction, constant: tuple[int, int]) -> tuple[int, int]:
+    """coeff * constant: the numerator, the quotient and the product each rounded."""
+    man, exp = _round(coeff.numerator, 0)
+    den = coeff.denominator
+    # The denominator's trailing zero bits go to the exponent exactly; the
+    # quotient by its odd part keeps two bits past _PREC and a sticky remainder.
+    tz = (den & -den).bit_length() - 1
+    den >>= tz
+    exp -= tz
+    if den != 1:
+        mag = -man if man < 0 else man
+        shift = _PREC + 2 + den.bit_length() - mag.bit_length()
+        quot, rem = divmod(mag << shift, den)
+        man, exp = _round(-quot if man < 0 else quot, exp - shift, rem != 0)
+    return _round(man * constant[0], exp + constant[1])
+
+
+def _add(total: tuple[int, int], term: tuple[int, int]) -> tuple[int, int]:
+    """total + term rounded to _PREC bits."""
+    sman, sexp = total
+    if not sman:
+        return term
+    tman, texp = term
+    if sexp < texp:
+        sman, sexp, tman, texp = tman, texp, sman, sexp
+    return _round((sman << (sexp - texp)) + tman, texp)
+
+
+def _atanh_fixed(num: int, den: int, wp: int) -> tuple[int, int]:
+    """atanh(num/den) * 2**wp for 0 <= num/den <= 1/3, rounded down, and an error bound.
+
+    The series x + x^3/3 + x^5/5 + ... runs in wp-bit fixed point until a
+    term vanishes, each power of x the last times num^2 / den^2.  Every
+    truncation is downward, each computed power of x is less than 2 ulps
+    low and each term adds less than 2 ulps, so the result is low by less
+    than the bound returned, the next odd divisor plus one.
+    """
+    v = (num << wp) // den
+    num2, den2 = num * num, den * den
+    total, k = v, 3
+    v = v * num2 // den2
+    while v:
+        total += v // k
+        v = v * num2 // den2
+        k += 2
+    return total, k + 1
+
+
+@lru_cache(maxsize=None)  # one entry per precision _ln tries: _PREC + _GUARD, then a doubling at a time
+def _ln2_fixed(wp: int) -> int:
+    """ln 2 * 2**wp = 2 atanh(1/3) * 2**wp, within 2 ulps: 16 extra bits absorb the series' error."""
+    return 2 * _atanh_fixed(1, 3, wp + 16)[0] >> 16
+
+
+@lru_cache(maxsize=_LN_CACHE_SIZE)
+def _ln(n: int) -> tuple[int, int]:
+    """ln(n), n >= 2, correctly rounded to _PREC bits; memoized for the last _LN_CACHE_SIZE n.
+
+    n = 2^k * r with r in [3/4, 3/2) gives ln n = k ln 2 + 2 atanh((n - 2^k)/(n + 2^k)),
+    |atanh's argument| <= 1/5.  The sum is made in fixed point with guard bits;
+    when the two ends of its error interval round apart, the guard bits double.
+    """
+    k = n.bit_length()
+    if n >> (k - 2) < 3:  # n < 3 * 2^(k-2), so r = n / 2^(k-1) < 3/2
+        k -= 1
+    num, den = n - (1 << k), n + (1 << k)
+    guard = _GUARD
+    while True:
+        wp = _PREC + guard
+        atanh, err = _atanh_fixed(abs(num), den, wp)
+        fixed = k * _ln2_fixed(wp) + (2 * atanh if num >= 0 else -2 * atanh)
+        err = 2 * err + 2 * k  # ln 2 is within 2 ulps, k times over
+        low = _round(fixed - err, -wp)
+        if low == _round(fixed + err, -wp):
+            return low
+        guard *= 2

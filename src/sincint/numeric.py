@@ -45,14 +45,16 @@ alone exceeds the tolerance is refused too.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .exact import _count_text
-from .oracle import _EPS, QuadratureError
+from .params import QuadratureError
 
+_EPS = sys.float_info.epsilon
 _PERIOD = 2.0 * math.pi
 _LEVELS = 4  # antiderivative depth of the tail telescope
 _MAX_NODES = 6_000_000  # integrand evaluations for the whole head

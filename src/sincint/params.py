@@ -1,4 +1,4 @@
-"""Parameter validation for the integral family."""
+"""Parameter validation for the integral family, and the package's two exceptions."""
 
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ class DomainError(ValueError):
     def __init__(self, constraint: str, message: str | None = None):
         self.constraint = constraint
         super().__init__(message or f"constraint violated: {constraint}")
+
+
+class QuadratureError(RuntimeError):
+    """The requested tolerance could not be certified within the budget."""
 
 
 @dataclass(frozen=True)

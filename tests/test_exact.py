@@ -1,5 +1,6 @@
-"""Exact-core tests: binomial weights, factorization, and canonical value algebra."""
+"""Exact-core tests: binomial weights, factorization, canonical value algebra and rendering."""
 
+import ast
 import copy
 import math
 import pickle
@@ -7,10 +8,12 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from scaling import rescaled
 from sincint import (
@@ -371,3 +374,66 @@ def test_parse_reads_back_or_raises_value_error(text):
     except ValueError:
         return
     assert parse_exact_value(str(value)) == value
+
+
+# ---------------------------------------------------------------------------
+# decimal rendering and the module graph
+
+
+def test_ln_retries_with_more_guard_bits_until_it_rounds_correctly(monkeypatch):
+    # One guard bit leaves the error interval straddling a rounding boundary, so
+    # _ln must double the guard bits, and still return mpmath's correctly
+    # rounded logarithm.
+    passes = []
+    atanh_fixed = exact._atanh_fixed
+
+    def counted(num, den, wp):
+        passes[-1] += 1
+        return atanh_fixed(num, den, wp)
+
+    monkeypatch.setattr(exact, "_GUARD", 1)
+    monkeypatch.setattr(exact, "_atanh_fixed", counted)
+    exact._ln.cache_clear()
+    try:
+        for n in (3, 5, 7, 7919, 2**61 - 1, *(2**k + d for k in (10, 31, 64, 89) for d in (-1, 1))):
+            passes.append(0)
+            expected = libmp.mpf_log(libmp.from_int(n), exact._PREC, libmp.round_nearest)
+            assert libmp.from_man_exp(*exact._ln(n)) == expected, n
+            assert passes[-1] > 1, n
+    finally:
+        exact._ln.cache_clear()
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each sincint module's imports of sibling modules, at module level and inside functions."""
+    package = Path(exact.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                targets.update([node.module] if node.module else [alias.name for alias in node.names])
+            elif (node.module or "").startswith("sincint."):
+                targets.add(node.module.split(".")[1])
+        graph[path.stem] = targets
+    return graph
+
+
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    seen, stack = set(), list(graph[start])
+    while stack:
+        module = stack.pop()
+        if module not in seen:
+            seen.add(module)
+            stack.extend(graph[module])
+    return seen
+
+
+def test_module_graph_has_no_cycle_and_the_exact_side_never_reaches_the_oracle():
+    graph = _package_imports()
+    assert {"exact", "oracle", "numeric", "params"} <= graph.keys()
+    assert [module for module in graph if module in _reachable(graph, module)] == []
+    for module in ("params", "trig", "exact", "evaluator", "identities"):
+        assert not _reachable(graph, module) & {"oracle", "numeric"}, module

@@ -1,4 +1,4 @@
-"""Oracle tests: decimal rendering and direct quadrature of the integrand."""
+"""Oracle tests: decimal rendering (sincint.exact.to_decimal) and direct quadrature of the integrand."""
 
 import itertools
 import json
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from mpmath import libmp
 
+import sincint.exact as exact_module
 import sincint.numeric as numeric_module
 import sincint.oracle as oracle_module
 from reference_trig import product_expansion
@@ -109,16 +110,16 @@ def test_to_decimal_is_bit_identical_to_the_mpf_route():
 def test_to_decimal_is_unchanged_after_the_log_memo_evicts_its_primes():
     value = ExactValue(Fraction(1, 3), {2: Fraction(-5, 8), 7919: Fraction(7, 3)})
     first = to_decimal(value)
-    for n in range(10**6, 10**6 + oracle_module._LN_CACHE_SIZE):  # any integer has a logarithm
-        oracle_module._ln(n)
-    misses = oracle_module._ln.cache_info().misses
+    for n in range(10**6, 10**6 + exact_module._LN_CACHE_SIZE):  # any integer has a logarithm
+        exact_module._ln(n)
+    misses = exact_module._ln.cache_info().misses
     assert to_decimal(value) == first
-    assert oracle_module._ln.cache_info().misses == misses + 2  # both primes were evicted
+    assert exact_module._ln.cache_info().misses == misses + 2  # both primes were evicted
 
 
 def test_pi_is_mpmath_pi_at_the_working_precision():
-    assert oracle_module._PREC == libmp.dps_to_prec(50)
-    assert libmp.from_man_exp(*oracle_module._PI) == libmp.mpf_pi(oracle_module._PREC, libmp.round_nearest)
+    assert exact_module._PREC == libmp.dps_to_prec(50)
+    assert libmp.from_man_exp(*exact_module._PI) == libmp.mpf_pi(exact_module._PREC, libmp.round_nearest)
 
 
 def test_ln_is_mpmath_log_at_the_working_precision():
@@ -127,8 +128,8 @@ def test_ln_is_mpmath_log_at_the_working_precision():
     edges = [n + d for k in range(1, 81) for n in (2**k, 3 * 2 ** (k - 1)) for d in (-1, 0, 1)]
     seeded = [rng.randrange(2, 10 ** rng.randint(2, 24)) for _ in range(500)]
     for n in [*filter(_is_prime, range(10**4)), *(n for n in edges if n >= 2), *seeded]:
-        expected = libmp.mpf_log(libmp.from_int(n), oracle_module._PREC, libmp.round_nearest)
-        assert libmp.from_man_exp(*oracle_module._ln(n)) == expected, n
+        expected = libmp.mpf_log(libmp.from_int(n), exact_module._PREC, libmp.round_nearest)
+        assert libmp.from_man_exp(*exact_module._ln(n)) == expected, n
 
 
 def test_to_decimal_matches_the_mpf_route_where_far_apart_terms_take_the_shortcut():
