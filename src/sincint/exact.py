@@ -251,10 +251,11 @@ def to_decimal(value: ExactValue) -> float:
     cancel beyond 50 digits, as large-a log values do, is rendered wrong
     (ROADMAP item 2).  Every step rounds to nearest, ties to even: the
     numerator, its quotient by the denominator, the product with the
-    correctly rounded constant and the running sum.  math.ldexp converts
-    the total's integer to a double, a round to 53 bits, then scales it,
-    which rounds a subnormal once more and overflows to an infinity.  These
-    are the roundings of mpmath's mpf arithmetic at 50 digits, bit for bit.
+    correctly rounded constant and the running sum, which adds pi first and
+    then the primes ascending.  math.ldexp converts the total's integer to a
+    double, a round to 53 bits, then scales it, which rounds a subnormal once
+    more and overflows to an infinity.  These are the roundings of mpmath's
+    mpf arithmetic at 50 digits, in its order, bit for bit.
     """
     total = 0, 0
     if value.pi_coeff:
@@ -303,14 +304,14 @@ def _term(coeff: Fraction, constant: tuple[int, int]) -> tuple[int, int]:
 
 
 def _add(total: tuple[int, int], term: tuple[int, int]) -> tuple[int, int]:
-    """total + term rounded to _PREC bits."""
+    """total + term, summed exactly at the smaller exponent and rounded to _PREC bits:
+    to_decimal adds pi first, then the primes ascending, as mpmath's chain does."""
     sman, sexp = total
-    if not sman:
+    if not sman:  # to_decimal's first term: returning it is cheaper than a sum with 0
         return term
     tman, texp = term
-    if sexp < texp:
-        sman, sexp, tman, texp = tman, texp, sman, sexp
-    return _round((sman << (sexp - texp)) + tman, texp)
+    exp = sexp if sexp < texp else texp  # not min(), whose call is a measurable share of a small sum
+    return _round((sman << (sexp - exp)) + (tman << (texp - exp)), exp)
 
 
 def _atanh_fixed(num: int, den: int, wp: int) -> tuple[int, int]:

@@ -31,6 +31,7 @@ def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
         raise DomainError("c >= 0", f"the spectrum needs c >= 0, got {c}")
     # Binomials by C(n, i+1) = C(n, i)(n-i)/(i+1), not math.comb.  The loops end with
     # binom_a = C(a, a/2) for even a and binom_c = C(c, c/2) for even c: the constants.
+    # sin^a's constant C(a, a/2)/2, an integer for even a >= 2, is its f = 0 sine term.
     # Every odd-a term has one sine factor, so sign(p)^a rides on the sine weights.
     fold = -1 if a % 2 else 1
     sign_a = (-1 if (a // 2) % 2 else 1) * (fold if p < 0 else 1)
@@ -39,19 +40,16 @@ def spectrum(a: int, c: int, p: int, q: int) -> dict[int, int]:
     for i in range((a + 1) // 2):
         sines.append(((a - 2 * i) * p, sign_a * (-1 if i % 2 else 1) * binom_a))
         binom_a = binom_a * (a - i) // (i + 1)
+    if a % 2 == 0:
+        sines.append((0, binom_a // 2))
     cosines, binom_c = [], 1
     for j in range((c + 1) // 2):
         cosines.append(((c - 2 * j) * q, binom_c))
         binom_c = binom_c * (c - j) // (j + 1)
     weights: dict[int, int] = {}
-    if c % 2 == 0:  # sine terms times the constant of cos^c
+    if c % 2 == 0:  # sine terms times cos^c's constant, no cosine term: C(0, 0)/2 is not an integer
         for f, u in sines:
             weights[f] = weights.get(f, 0) + u * binom_c
-    if a % 2 == 0:  # the constant of sin^a times the cosine terms
-        for g, v in cosines:
-            weights[g] = weights.get(g, 0) + binom_a * v
-        if c % 2 == 0:  # C(a, a/2) is even for a >= 2
-            weights[0] = weights.get(0, 0) + binom_a * binom_c // 2
     for f, u in sines:
         for g, v in cosines:
             w = u * v

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sincint.evaluator as evaluator_module
+import sincint.identities as identities_module
 from reference_trig import derivative, product_expansion
 from scaling import rescaled
 from sincint import (
@@ -17,7 +19,9 @@ from sincint import (
     ExactValue,
     IntegralParams,
     evaluate,
+    identity_sweep,
     quadrature,
+    spectrum,
     to_decimal,
     verify,
 )
@@ -362,3 +366,26 @@ def test_gcd_scaling_law_with_cosine_factor(ab, c, p, q, g):
     # u = g x: I(a,b,c,gp,gq) = g^(b-1) I(a,b,c,p,q); criterion 4 covers c = 0 only.
     a, b = ab
     assert exact(a, b, c, g * p, g * q) == rescaled(exact(a, b, c, p, q), Fraction(g) ** (b - 1))
+
+
+def test_no_consumer_reads_the_spectrum_key_order(monkeypatch):
+    # The spectrum is a sum: evaluate, to_decimal and the sweep give the same
+    # results when its keys come in reversed order.
+    rng = random.Random(20261021)
+    cases = [(2 * rng.randint(1, 7), 2 * rng.randint(0, 3)) for _ in range(100)]  # even a, even c
+    cases += [(rng.randint(2, 14), rng.randint(0, 6)) for _ in range(200)]
+    cases = [(a, rng.randint(2, a), c, rng.randint(-7, 7), rng.randint(-7, 7)) for a, c in cases]
+
+    def outputs():
+        values = [evaluate(IntegralParams(*case)) for case in cases]
+        return [str(v) for v in values], [repr(to_decimal(v)) for v in values], identity_sweep(8, 4, 3, 3)
+
+    before = outputs()
+
+    def reversed_spectrum(a, c, p, q):
+        return dict(reversed(spectrum(a, c, p, q).items()))
+
+    monkeypatch.setattr(evaluator_module, "spectrum", reversed_spectrum)
+    monkeypatch.setattr(identities_module, "spectrum", reversed_spectrum)
+    assert list(reversed_spectrum(4, 2, 1, 2)) != list(spectrum(4, 2, 1, 2))
+    assert outputs() == before

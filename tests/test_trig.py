@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_trig
 from reference_trig import derivative, evaluate, poly, product, product_expansion, spectrum_derivative, value_at_pi
-from sincint import DomainError, spectrum
+from sincint import DomainError, boundary_identity_sum, spectrum
 
 _RNG = np.random.default_rng(20260810)
 ONE = {("cos", 0): Fraction(1)}
@@ -236,6 +236,26 @@ def test_spectrum_is_canonical_and_obeys_the_sign_law(a, c, p, q):
     kind = "cos" if a % 2 == 0 else "sin"
     scale = 2 ** (a + c - 1)
     assert poly((kind, m, Fraction(w, scale)) for m, w in weights.items()) == product_expansion(a, c, p, q)
+
+
+def test_spectrum_matches_the_reference_at_multiples_of_the_hash_modulus():
+    # CPython hashes an int as n mod 2^61 - 1, so when p or q is a multiple of it the
+    # keys fall on a few hashes, one per term of the other factor.  The weights must
+    # not depend on it, and the boundary sums stay zero.
+    modulus = 2**61 - 1
+    for a in range(1, 9):
+        kind = "cos" if a % 2 == 0 else "sin"
+        for c in range(0, 13, 3):
+            for k in (1, 2):
+                for sign in (1, -1):
+                    for p, q in ((sign * k * modulus, 1), (sign * k * modulus, -3), (1, sign * k * modulus),
+                                 (-3, sign * k * modulus)):
+                        weights = spectrum(a, c, p, q)
+                        scale = 2 ** (a + c - 1)
+                        from_spectrum = poly((kind, m, Fraction(w, scale)) for m, w in weights.items())
+                        assert from_spectrum == product_expansion(a, c, p, q), (a, c, p, q)
+                        for h in range(a % 2, a - 1, 2):
+                            assert boundary_identity_sum(a, c, p, q, h) == 0, (a, c, p, q, h)
 
 
 def test_spectrum_binomials_at_large_exponents():
